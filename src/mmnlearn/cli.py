@@ -4,7 +4,8 @@
     mmnlearn bench export binctr:5 out.mmn
     mmnlearn suite --preset ci
 
-Exit codes: 0 success, 2 validation failed, 3 timeout, 4 config error.
+Exit codes: 0 success, 2 validation failed, 3 timeout, 4 config or learner
+error (the report is still printed when a learner error ends an instance).
 Set MMNLEARN_LOG=debug for verbose logging.
 """
 
@@ -19,6 +20,7 @@ from . import benchmarks, serialize
 from .componentwise import CaBlowupError, CaParams
 from .harness import (
     ConfigError,
+    ERROR,
     EqTestConfig,
     ExperimentConfig,
     INCORRECT,
@@ -117,17 +119,21 @@ def main(argv=None) -> int:
         except (ConfigError, benchmarks.BenchmarkError, ValueError) as exc:
             print("config error: %s" % exc, file=sys.stderr)
             return 4
-        except CaBlowupError as exc:
-            print("context analysis aborted: %s" % exc, file=sys.stderr)
-            print("rerun with a finer abstraction or a larger output cap",
-                  file=sys.stderr)
-            return 4
         text = report(results, args.format)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
+        errors = [r for r in results if r.validation == ERROR]
+        for r in errors:
+            print("learning aborted (seed=%d): %s" % (r.seed, r.error),
+                  file=sys.stderr)
+            if r.error.startswith(CaBlowupError.__name__):
+                print("rerun with a finer abstraction or a larger output cap",
+                      file=sys.stderr)
+        if errors:
+            return 4
         if any(r.validation == TIMEOUT for r in results):
             return 3
         if cfg.validate and any(r.validation == INCORRECT for r in results):
@@ -144,6 +150,8 @@ def main(argv=None) -> int:
             chunks.append(report(results, args.format))
             if any(r.validation == TIMEOUT for r in results):
                 code = max(code, 3)
+            if any(r.validation == ERROR for r in results):
+                code = 4
         text = "\n".join(chunks)
         if args.out:
             with open(args.out, "w") as fh:

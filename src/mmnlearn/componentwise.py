@@ -23,7 +23,6 @@ from .machine import (
     DetMoore,
     StatePartition,
     Word,
-    identity_partition,
     partition_eq_k,
     partition_uni,
 )
@@ -180,8 +179,6 @@ def resolve_depth(params: CaParams, tables: dict[NodeId, ObservationTable]) -> O
 
 
 def _partition_for(params: CaParams, machine: DetMoore) -> StatePartition:
-    if params.abstraction == ABS_EQ:
-        return identity_partition(machine)
     if params.abstraction == ABS_EQ_K:
         return partition_eq_k(machine, params.k)
     return partition_uni(machine)
@@ -195,24 +192,115 @@ def one_ext_er(
 ) -> set[tuple[NodeId, Word, int]]:
     """Contextual completion rule.
 
-    Quotients the hypothesis MMN per the component abstraction, runs
-    (depth-bounded) BFS over abstract configurations, and for every visited
-    configuration emits, per component, every input character the component
-    can receive there, paired with the access string of every concrete row
-    in the abstract class.  Per-configuration output enumeration is capped:
-    exceeding the cap aborts with a diagnostic instead of dropping tuples.
+    Runs (depth-bounded) BFS over configurations and, for every visited
+    configuration, emits per component every input character the component
+    can receive there, paired with the access string of every row its state
+    stands for.  With the ``eq`` abstraction the walk runs on the
+    deterministic hypothesis directly; ``eqk`` and ``uni`` walk the quotient
+    of the hypothesis MMN under the abstraction.  Only the quotient walk
+    enumerates output sets, so only there is that enumeration capped:
+    exceeding ``output_cap`` at one configuration aborts with a diagnostic
+    instead of dropping tuples.
     """
-    comps = hypothesis.components
-    partitions = {
-        c: _partition_for(params, hypothesis.machines[c]) for c in comps
-    }
-    if params.abstraction == ABS_EQ:
-        # "no quotienting": walk the deterministic hypothesis itself
-        quotient = hypothesis
-    else:
-        quotient = hypothesis.quotient_mmn(partitions)
     depth = resolve_depth(params, tables)
-    sys_in = list(hypothesis.system_inputs)
+    if params.abstraction == ABS_EQ:
+        return _walk_deterministic(hypothesis, tables, depth)
+    partitions = {
+        c: _partition_for(params, hypothesis.machines[c])
+        for c in hypothesis.components
+    }
+    return _walk_quotient(
+        hypothesis.quotient_mmn(partitions), partitions, tables, depth, output_cap
+    )
+
+
+def _walk_deterministic(
+    hypothesis: Mmn,
+    tables: dict[NodeId, ObservationTable],
+    depth: Optional[int],
+) -> set[tuple[NodeId, Word, int]]:
+    """Context analysis on a deterministic hypothesis, one pass per
+    configuration.
+
+    A component's input character is the sum of a part read from the system
+    input and a part read from the other components' current outputs (its
+    base).  Per component state and base, the characters for every system
+    input and the states they lead to are computed once; the characters are
+    what the state receives, the states step the configuration.  A
+    configuration has no successor on a system input on which some
+    component has no transition.  The last level is recorded but not
+    expanded.
+    """
+    n_sys = len(hypothesis.system_inputs)
+    feeds, sys_parts, transitions = [], [], []
+    for plan, trans in hypothesis._step_plan:
+        feeds.append([f for f in plan if f[0] >= 0])
+        sys_edges = [f for f in plan if f[0] < 0]
+        sys_parts.append([
+            sum(((i // stride) % size) * tstride
+                for _, stride, size, tstride in sys_edges)
+            for i in range(n_sys)
+        ])
+        transitions.append(trans)
+    outputs = hypothesis._outputs_by_comp
+    # moves[k][q]: base -> successor of component k's state q per system
+    # input (None where undefined); its keys are the bases q receives.
+    moves = [[{} for _ in trans] for trans in transitions]
+
+    start = hypothesis.initial_configuration()
+    seen = {start}
+    frontier = [start]
+    level = 0
+    while frontier:
+        expand = depth is None or level < depth
+        nxt = []
+        for cfg in frontier:
+            outs = [o[q] for o, q in zip(outputs, cfg)]
+            targets = []
+            for k, q in enumerate(cfg):
+                base = 0
+                for src, stride, size, tstride in feeds[k]:
+                    base += ((outs[src] // stride) % size) * tstride
+                known = moves[k][q]
+                t = known.get(base)
+                if t is None:
+                    row = transitions[k][q]
+                    t = known[base] = [row.get(base + p) for p in sys_parts[k]]
+                targets.append(t)
+            if expand:
+                for succ in zip(*targets):
+                    if None not in succ and succ not in seen:
+                        seen.add(succ)
+                        nxt.append(succ)
+        if not expand:
+            break
+        frontier = nxt
+        level += 1
+
+    emitted: set[tuple[NodeId, Word, int]] = set()
+    for k, c in enumerate(hypothesis.components):
+        access = tables[c].access_strings()
+        for q, known in enumerate(moves[k]):
+            s = access[q]
+            emitted.update((c, s, b + p) for b in known for p in sys_parts[k])
+    return emitted
+
+
+def _walk_quotient(
+    quotient: Mmn,
+    partitions: dict[NodeId, StatePartition],
+    tables: dict[NodeId, ObservationTable],
+    depth: Optional[int],
+    output_cap: int,
+) -> set[tuple[NodeId, Word, int]]:
+    """Context analysis on a prebuilt quotient of the hypothesis MMN.
+
+    Emits, per visited abstract configuration and component, every input
+    character the component can receive, paired with the access string of
+    every concrete row in the abstract class.
+    """
+    comps = quotient.components
+    sys_in = list(quotient.system_inputs)
 
     # Access strings of concrete hypothesis states, grouped by abstract block.
     rows_in_block: dict[NodeId, dict[int, list[Word]]] = {}
@@ -239,7 +327,7 @@ def one_ext_er(
                     "configuration (cap %d)" % (combos, output_cap)
                 )
             for k, c in enumerate(comps):
-                inputs = quotient.possible_inputs(c, sys_in, out_sets)
+                inputs = quotient._possible_inputs(c, sys_in, out_sets)
                 for s in rows_in_block[c][cfg[k]]:
                     for i_c in inputs:
                         emitted.add((c, s, i_c))

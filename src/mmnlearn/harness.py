@@ -17,15 +17,19 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import benchmarks
-from .componentwise import CaParams, ccwl, cwl, mnl
+from .componentwise import CaBlowupError, CaParams, ccwl, cwl, mnl
 from .lstar import LearningTimeout
-from .network import Mmn
-from .oracles import EqTestConfig, Sul
+from .oracles import EqTestConfig, OracleContractError, Sul
+from .table import SpuriousCounterexampleError
 
 VALIDATED = "validated"
 INCORRECT = "incorrect"
 TIMEOUT = "timeout"
+ERROR = "error"
 SKIPPED = "not-validated"
+
+# Learner failures that end one instance, not the batch.
+LEARNER_ERRORS = (CaBlowupError, SpuriousCounterexampleError, OracleContractError)
 
 ALGORITHMS = ("mnl", "cwl", "ccwl")
 
@@ -81,6 +85,7 @@ class ExperimentResult:
     sul_components: int = 0
     sul_input_alphabet: int = 0  # system-level input alphabet size
     max_cex_length: int = 0
+    error: str = ""  # the learner's exception, when validation is ERROR
 
     def row(self) -> list:
         return [
@@ -136,6 +141,9 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> Experim
             )
     except LearningTimeout:
         result.validation = TIMEOUT
+    except LEARNER_ERRORS as exc:
+        result.validation = ERROR
+        result.error = "%s: %s" % (type(exc).__name__, exc)
     wall = time.monotonic() - t0
     result.wall_time_seconds = wall
     result.learner_time_seconds = max(0.0, wall - sul.oracle_seconds)
@@ -315,11 +323,6 @@ def thm_bound_check(result: ExperimentResult, constant: float = 10.0,
             bound += constant * ell * n * vc
             eq_bound += constant * ell * n
     return result.oq_resets <= bound and result.eq_count <= eq_bound
-
-
-def mnl_state_metadata(mmn: Mmn, budget: int = 10**6) -> int:
-    """Reachable configuration count, the ``n`` of the monolithic bound."""
-    return mmn.materialize(budget).n_states
 
 
 # -- presets ----------------------------------------------------------------

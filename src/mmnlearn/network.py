@@ -159,19 +159,15 @@ class Mmn:
         # Per component: how to assemble its input symbol from the system
         # input symbol and the per-component output symbols of the previous
         # tick.  Each in-edge coordinate is either a digit of the system
-        # input or a digit of some component's output tuple.
-        self._feeds: dict[NodeId, list[tuple[str, int, int]]] = {}
-        # Flattened variant for the hot path: (src_index, src_stride,
-        # src_size, target_stride) per in-edge, src_index -1 meaning the
-        # system input symbol.
+        # input or a digit of some component's output tuple:
+        # (src_index, src_stride, src_size, target_stride) per in-edge,
+        # src_index -1 meaning the system input symbol.
         self._feed_plan: dict[NodeId, list[tuple[int, int, int, int]]] = {}
         for c in self.components:
-            feeds = []
             plan = []
             target = self.machines[c].input_alphabet
             if target._strides is None or len(target._strides) != len(net.in_edges[c]):
                 # structurally invalid (diagnostics will say so); no wiring
-                self._feeds[c] = []
                 self._feed_plan[c] = []
                 continue
             for pos, e in enumerate(net.in_edges[c]):
@@ -179,7 +175,6 @@ class Mmn:
                 tstride = target._strides[pos]
                 if net.node_class[src] == NODE_INPUT:
                     k = in_pos[e]
-                    feeds.append(("sys", k, 0))
                     plan.append(
                         (-1, self.system_inputs._strides[k],
                          len(self.system_inputs.factors[k]), tstride)
@@ -187,12 +182,10 @@ class Mmn:
                 else:
                     src_alpha = self.machines[src].output_alphabet
                     pos_src = src_alpha.key_pos(e)
-                    feeds.append(("comp", self._comp_index[src], pos_src))
                     plan.append(
                         (self._comp_index[src], src_alpha._strides[pos_src],
                          len(src_alpha.factors[pos_src]), tstride)
                     )
-            self._feeds[c] = feeds
             self._feed_plan[c] = plan
         self._outputs_by_comp = [self.machines[c].outputs for c in self.components]
         self._step_plan = [
@@ -273,9 +266,6 @@ class Mmn:
         network has at most one edge per ordered node pair, so coordinates
         on distinct in-edges come from independent output factors.
         """
-        if self.is_deterministic:
-            nxt = self.system_transition(config, sys_in)
-            return [] if nxt is None else [nxt]
         out_sets = self.total_output_sets(config)
         per_comp: list[list[int]] = []
         for k, c in enumerate(self.components):
@@ -304,28 +294,14 @@ class Mmn:
     ) -> list[int]:
         """All characters ``c`` can consume for the given system inputs and
         per-component output sets; exact per-edge factorization."""
-        choices: list[list[int]] = []
-        for kind, a, b in self._feeds[c]:
-            if kind == "sys":
-                choices.append(
-                    sorted({self.system_inputs.digit(s, a) for s in sys_ins})
-                )
-            else:
-                src_alpha = self.machines[self.components[a]].output_alphabet
-                choices.append(sorted({src_alpha.digit(o, b) for o in out_sets[a]}))
-        alpha = self.machines[c].input_alphabet
-        syms = [[]]
-        for ch in choices:
-            syms = [d + [x] for d in syms for x in ch]
-        return [alpha.encode(d) for d in syms]
-
-    def possible_inputs(self, c, sys_ins, out_sets):
-        return self._possible_inputs(c, sys_ins, out_sets)
+        syms = [0]
+        for src, stride, size, tstride in self._feed_plan[c]:
+            values = sys_ins if src < 0 else out_sets[src]
+            digits = sorted({(v // stride) % size for v in values})
+            syms = [sym + d * tstride for sym in syms for d in digits]
+        return syms
 
     # -- derived machines ----------------------------------------------------
-
-    def induced_moore(self) -> "InducedMoore":
-        return InducedMoore(self)
 
     def materialize(self, budget: int = 10**6) -> DetMoore:
         """Eagerly explore the induced machine into a plain DetMoore.
@@ -471,8 +447,3 @@ class InducedMoore:
             q = nxt
             out.append(self._outs[q])
         return tuple(out)
-
-
-def restrict_word(source: Alphabet, target: Alphabet, word: Sequence[int]) -> Word:
-    """Pointwise tuple restriction of a word between product alphabets."""
-    return tuple(source.restrict_to(target, s) for s in word)

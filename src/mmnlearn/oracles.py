@@ -236,9 +236,6 @@ class Sul:
             learned = InducedMoore(learned)
         return equivalent(learned, InducedMoore(self._mmn))
 
-    def validate_exact_component(self, c: NodeId, hypothesis) -> "Counterexample | bool":
-        return equivalent(hypothesis, self._mmn.machines[c])
-
     # -- exact equivalence used in place of testing EQs ------------------------
 
     def exact_eq(self, hypothesis) -> "Counterexample | bool":

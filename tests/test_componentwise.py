@@ -5,12 +5,15 @@ import pytest
 from mmnlearn.benchmarks import (
     binary_counter,
     counter_with_init,
+    from_spec,
     mmn_ex,
     rand_mmn,
 )
 from mmnlearn.componentwise import (
     CaBlowupError,
     CaParams,
+    _walk_quotient,
+    analyze_cex_componentwise,
     assemble,
     ccwl,
     cwl,
@@ -18,6 +21,7 @@ from mmnlearn.componentwise import (
     one_ext_er,
     resolve_depth,
 )
+from mmnlearn.machine import identity_partition
 from mmnlearn.lstar import OqCache
 from mmnlearn.network import InducedMoore
 from mmnlearn.oracles import EqTestConfig, Sul
@@ -133,6 +137,49 @@ def test_one_ext_abstraction_monotone():
     d0 = one_ext_er(hyp, CaParams("eq", None, "d", 0), tables)
     d2 = one_ext_er(hyp, CaParams("eq", None, "d", 2), tables)
     assert d0 <= d2 <= fine
+
+
+@pytest.mark.parametrize("bound", ["dinf", "d:0", "d:1", "d:2", "dmin"])
+@pytest.mark.parametrize("spec", [
+    "mmn_ex", "counter_init", "binctr:4", "mqtt",
+    "rand:star3:lean:mean=5:seed=0", "rand:compl3:rich:mean=5:seed=1",
+])
+def test_one_ext_eq_matches_generic_walk_on_identity_quotient(spec, bound):
+    # The eq abstraction walks the deterministic hypothesis directly; the
+    # generic quotient walk over identity partitions is its reference, on
+    # every round of a close/extend/EQ loop, partial hypotheses included.
+    params = CaParams.parse("eq", bound)
+    sul = Sul(from_spec(spec), EqTestConfig(seed=0))
+    tables, caches = fresh_tables(sul)
+    fell_off_rounds = 0
+    for _ in range(500):
+        for c in sul.components:
+            tables[c].close()
+        hyp = assemble(sul, tables)
+        fast = one_ext_er(hyp, params, tables)
+        partitions = {
+            c: identity_partition(hyp.machines[c]) for c in hyp.components
+        }
+        reference = _walk_quotient(
+            hyp.quotient_mmn(partitions), partitions, tables,
+            resolve_depth(params, tables), output_cap=10**5,
+        )
+        assert fast == reference
+        missing = sorted((c, s, i) for (c, s, i) in fast if s + (i,) not in tables[c])
+        if missing:
+            # some visited configuration has no move on some input
+            fell_off_rounds += 1
+            for c, s, i in missing:
+                tables[c].add_extension(s + (i,))
+            continue
+        verdict = sul.exact_eq(InducedMoore(hyp))
+        if verdict is True:
+            break
+        analyze_cex_componentwise(hyp, verdict.word, sul, tables, caches)
+    else:
+        pytest.fail("no convergence within 500 rounds")
+    assert fell_off_rounds > 0
+    assert sul.validate_exact(hyp) is True
 
 
 def test_one_ext_output_cap_diagnostic():
@@ -256,8 +303,6 @@ def test_ccwl_event_log():
 def test_analyze_cex_progress_across_eq_rounds():
     # with depth 0 every EQ round must grow some table
     sul = Sul(binary_counter(4), EqTestConfig(seed=5))
-    from mmnlearn.componentwise import analyze_cex_componentwise
-
     tables, caches = fresh_tables(sul)
     sizes = []
     for _ in range(60):

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from mmnlearn import harness
 from mmnlearn.cli import main as cli_main
-from mmnlearn.componentwise import CaParams
+from mmnlearn.componentwise import CaBlowupError, CaParams
 from mmnlearn.harness import (
+    ERROR,
     ConfigError,
     ExperimentConfig,
     VALIDATED,
@@ -79,6 +81,42 @@ def test_run_batch_seeds_and_interrupt_safety():
     results = run_batch(cfg_binctr_ccwl(instances=3))
     assert [r.seed for r in results] == [1, 2, 3]
     assert all(r.validation == VALIDATED for r in results)
+
+
+@pytest.mark.parametrize("error", [
+    CaBlowupError, harness.SpuriousCounterexampleError, harness.OracleContractError,
+])
+def test_run_batch_learner_error_is_per_instance_verdict(monkeypatch, error):
+    learner = harness.ccwl
+
+    def failing_on_seed_2(sul, *args, **kwargs):
+        if sul.eq_config.seed == 2:
+            raise error("boom")
+        return learner(sul, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "ccwl", failing_on_seed_2)
+    results = run_batch(cfg_binctr_ccwl(instances=3))
+    assert [r.seed for r in results] == [1, 2, 3]
+    assert [r.validation for r in results] == [VALIDATED, ERROR, VALIDATED]
+    assert results[1].error == "%s: boom" % error.__name__
+    assert results[0].error == results[2].error == ""
+
+
+def test_cli_learner_error_reports_then_exit_4(monkeypatch, tmp_path, capsys):
+    def blowup(*args, **kwargs):
+        raise CaBlowupError("too many outputs")
+
+    monkeypatch.setattr(harness, "ccwl", blowup)
+    out = tmp_path / "res.json"
+    code = cli_main([
+        "learn", "--bench", "binctr:5", "--algo", "ccwl", "--seed", "1",
+        "--format", "json", "--out", str(out),
+    ])
+    assert code == 4
+    blob = json.loads(out.read_text())
+    assert blob["instances"][0]["validation"] == ERROR
+    assert "too many outputs" in blob["instances"][0]["error"]
+    assert "larger output cap" in capsys.readouterr().err
 
 
 def test_format_count_matches_table_style():
