@@ -8,7 +8,6 @@ from .machine import (
     NondetMoore,
     StatePartition,
     det_run,
-    det_semantics,
     equivalent,
     identity_partition,
     nd_semantics,
@@ -18,7 +17,7 @@ from .machine import (
     reachable,
     wrap_nondet,
 )
-from .network import InducedMoore, Mmn, Network, system_alphabets, validate
+from .network import InducedMoore, Mmn, Network, validate
 from .oracles import EqTestConfig, QueryStats, Sul
 from .table import ObservationTable
 from .lstar import lstar
@@ -28,10 +27,10 @@ from . import benchmarks, harness, serialize
 __all__ = [
     "Alphabet", "product_alphabet", "unit_alphabet",
     "Counterexample", "DetMoore", "EQUIVALENT", "NondetMoore", "StatePartition",
-    "det_run", "det_semantics", "equivalent", "identity_partition",
+    "det_run", "equivalent", "identity_partition",
     "nd_semantics", "partition_eq_k", "partition_uni", "quotient", "reachable",
     "wrap_nondet",
-    "InducedMoore", "Mmn", "Network", "system_alphabets", "validate",
+    "InducedMoore", "Mmn", "Network", "validate",
     "EqTestConfig", "QueryStats", "Sul",
     "ObservationTable", "lstar",
     "CaBlowupError", "CaParams", "LearnedSystem", "ccwl", "cwl", "mnl",

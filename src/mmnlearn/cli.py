@@ -54,7 +54,8 @@ def _add_learn_args(p: argparse.ArgumentParser):
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--format", default="table", choices=("csv", "json", "table"))
-    p.add_argument("--validate", action="store_true")
+    p.add_argument("--validate", action=argparse.BooleanOptionalAction, default=True,
+                   help="check the learned system exactly against the SUL")
     p.add_argument("--exact-eq", action="store_true",
                    help="answer EQs by exact equivalence instead of random testing")
     p.add_argument("--no-memoize", action="store_true")
@@ -130,8 +131,8 @@ def main(argv=None) -> int:
             print("learning aborted (seed=%d): %s" % (r.seed, r.error),
                   file=sys.stderr)
             if r.error.startswith(CaBlowupError.__name__):
-                print("rerun with a finer abstraction or a larger output cap",
-                      file=sys.stderr)
+                print("rerun with a finer abstraction (eq, or eqk:<k> with a "
+                      "larger k)", file=sys.stderr)
         if errors:
             return 4
         if any(r.validation == TIMEOUT for r in results):

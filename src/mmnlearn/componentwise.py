@@ -39,10 +39,13 @@ BOUND_SUM = "dsum"
 BOUND_MAX = "dmax"
 BOUND_MIN = "dmin"
 
+# Most output tuples the quotient walk enumerates at one configuration.
+OUTPUT_CAP = 10**5
+
 
 class CaBlowupError(RuntimeError):
-    """Context analysis hit the output-enumeration cap; rerun with a finer
-    abstraction or a larger cap rather than dropping tuples silently."""
+    """Context analysis hit the output-enumeration cap (``OUTPUT_CAP``);
+    rerun with a finer abstraction rather than dropping tuples silently."""
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,6 @@ def one_ext_er(
     hypothesis: Mmn,
     params: CaParams,
     tables: dict[NodeId, ObservationTable],
-    output_cap: int = 10**5,
 ) -> set[tuple[NodeId, Word, int]]:
     """Contextual completion rule.
 
@@ -199,7 +201,7 @@ def one_ext_er(
     deterministic hypothesis directly; ``eqk`` and ``uni`` walk the quotient
     of the hypothesis MMN under the abstraction.  Only the quotient walk
     enumerates output sets, so only there is that enumeration capped:
-    exceeding ``output_cap`` at one configuration aborts with a diagnostic
+    exceeding ``OUTPUT_CAP`` at one configuration aborts with a diagnostic
     instead of dropping tuples.
     """
     depth = resolve_depth(params, tables)
@@ -210,7 +212,7 @@ def one_ext_er(
         for c in hypothesis.components
     }
     return _walk_quotient(
-        hypothesis.quotient_mmn(partitions), partitions, tables, depth, output_cap
+        hypothesis.quotient_mmn(partitions), partitions, tables, depth
     )
 
 
@@ -231,17 +233,7 @@ def _walk_deterministic(
     component has no transition.  The last level is recorded but not
     expanded.
     """
-    n_sys = len(hypothesis.system_inputs)
-    feeds, sys_parts, transitions = [], [], []
-    for plan, trans in hypothesis._step_plan:
-        feeds.append([f for f in plan if f[0] >= 0])
-        sys_edges = [f for f in plan if f[0] < 0]
-        sys_parts.append([
-            sum(((i // stride) % size) * tstride
-                for _, stride, size, tstride in sys_edges)
-            for i in range(n_sys)
-        ])
-        transitions.append(trans)
+    sys_parts, feeds, transitions = zip(*hypothesis._wiring)
     outputs = hypothesis._outputs_by_comp
     # moves[k][q]: base -> successor of component k's state q per system
     # input (None where undefined); its keys are the bases q receives.
@@ -291,7 +283,6 @@ def _walk_quotient(
     partitions: dict[NodeId, StatePartition],
     tables: dict[NodeId, ObservationTable],
     depth: Optional[int],
-    output_cap: int,
 ) -> set[tuple[NodeId, Word, int]]:
     """Context analysis on a prebuilt quotient of the hypothesis MMN.
 
@@ -321,10 +312,10 @@ def _walk_quotient(
             combos = 1
             for outs in out_sets:
                 combos *= len(outs)
-            if combos > output_cap:
+            if combos > OUTPUT_CAP:
                 raise CaBlowupError(
                     "context analysis would enumerate %d output tuples at one "
-                    "configuration (cap %d)" % (combos, output_cap)
+                    "configuration (cap %d)" % (combos, OUTPUT_CAP)
                 )
             for k, c in enumerate(comps):
                 inputs = quotient._possible_inputs(c, sys_in, out_sets)
@@ -363,26 +354,10 @@ def analyze_cex_componentwise(
     suffix-based analyzer.  Several candidates tie-break by component order.
     """
     comps = hypothesis.components
-    config = hypothesis.initial_configuration()
-    hyp_trace = [hypothesis.total_output(config)]
-    fell_off = None
-    for t, sys_in in enumerate(word):
-        outs = hyp_trace[-1]
-        nxt = []
-        for k, c in enumerate(comps):
-            i_c = hypothesis.component_input(c, sys_in, outs)
-            tgt = hypothesis.machines[c].transitions[config[k]].get(i_c)
-            if tgt is None:
-                fell_off = (t, config, sys_in)
-                break
-            nxt.append(tgt)
-        if fell_off is not None:
-            break
-        config = tuple(nxt)
-        hyp_trace.append(hypothesis.total_output(config))
+    configs = hypothesis.trajectory(word)
 
-    if fell_off is not None:
-        _, config, sys_in = fell_off
+    if len(configs) <= len(word):
+        config, sys_in = configs[-1], word[len(configs) - 1]
         outs = hypothesis.total_output(config)
         for k, c in enumerate(comps):
             i_c = hypothesis.component_input(c, sys_in, outs)
@@ -395,12 +370,10 @@ def analyze_cex_componentwise(
         raise SpuriousCounterexampleError("fell off but no missing transition found")
 
     observed = sul.oq_bar(word)
-    for t in range(len(word) + 1):
-        if observed[t] != hyp_trace[t]:
-            diffs = [
-                k for k in range(len(comps)) if observed[t][k] != hyp_trace[t][k]
-            ]
-            k = diffs[0]
+    for t, config in enumerate(configs):
+        expected = hypothesis.total_output(config)
+        if observed[t] != expected:
+            k = next(k for k, o in enumerate(expected) if observed[t][k] != o)
             c = comps[k]
             local = tuple(
                 hypothesis.component_input(c, word[j], observed[j])
@@ -423,7 +396,6 @@ def ccwl(
     memoize: bool = True,
     deadline: Optional[float] = None,
     eq=None,
-    output_cap: int = 10**5,
     event_log: Optional[list[str]] = None,
 ) -> LearnedSystem:
     """Contextual componentwise L* (component OQs + system-level EQs)."""
@@ -446,7 +418,7 @@ def ccwl(
         for c in sul.components:
             tables[c].close()
         hypothesis = assemble(sul, tables)
-        proposals = one_ext_er(hypothesis, params, tables, output_cap)
+        proposals = one_ext_er(hypothesis, params, tables)
         missing = sorted(
             (c, s, i) for (c, s, i) in proposals if s + (i,) not in tables[c]
         )

@@ -212,22 +212,24 @@ def format_count(value: float) -> str:
 
 
 def _aggregate(results: list[ExperimentResult]) -> dict:
-    n = len(results)
-    mean = lambda xs: sum(xs) / n if n else 0.0
+    """Means over the instances that returned a model, plus the
+    validated/incorrect/timeout/error tally over all instances."""
+    learned = [r for r in results if r.validation not in (TIMEOUT, ERROR)]
+    n = len(learned)
+    mean = lambda attr: sum(getattr(r, attr) for r in learned) / n if n else 0.0
     counts = {
-        "st.": mean([r.states for r in results]),
-        "tr.": mean([r.transitions for r in results]),
-        "OQ reset": mean([r.oq_resets for r in results]),
-        "OQ step": mean([r.oq_steps for r in results]),
-        "EQ": mean([r.eq_count for r in results]),
-        "EQ reset": mean([r.eq_resets for r in results]),
-        "EQ step": mean([r.eq_steps for r in results]),
-        "L. time": mean([r.learner_time_seconds for r in results]),
+        "st.": mean("states"),
+        "tr.": mean("transitions"),
+        "OQ reset": mean("oq_resets"),
+        "OQ step": mean("oq_steps"),
+        "EQ": mean("eq_count"),
+        "EQ reset": mean("eq_resets"),
+        "EQ step": mean("eq_steps"),
+        "L. time": mean("learner_time_seconds"),
     }
-    counts["valid?"] = "%d/%d/%d" % (
-        sum(r.validation == VALIDATED for r in results),
-        sum(r.validation == INCORRECT for r in results),
-        sum(r.validation == TIMEOUT for r in results),
+    counts["valid?"] = "/".join(
+        str(sum(r.validation == v for r in results))
+        for v in (VALIDATED, INCORRECT, TIMEOUT, ERROR)
     )
     return counts
 

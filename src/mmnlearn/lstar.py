@@ -9,6 +9,7 @@ is ever needed).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -141,18 +142,14 @@ def lstar(
     eq: Callable[[DetMoore], "Counterexample | bool"],
     memoize: bool = True,
     deadline: Optional[float] = None,
-    now: Optional[Callable[[], float]] = None,
 ) -> LstarResult:
     """Learn a Moore machine from output and equivalence oracles."""
-    import time as _time
-
-    now = now or _time.monotonic
     cache = OqCache(oq, enabled=memoize)
     table = ObservationTable(input_alphabet, output_alphabet, cache.last)
     eq_calls = 0
     max_cex = 0
     while True:
-        if deadline is not None and now() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             raise LearningTimeout("learning budget exceeded", partial=table)
         table.close()
         hypothesis = table.hypothesis()

@@ -115,10 +115,6 @@ def det_run(machine: DetMoore, q: int, word: Sequence[int]) -> Optional[int]:
     return machine.run(q, word)
 
 
-def det_semantics(machine, word: Sequence[int], q: Optional[int] = None) -> Word:
-    return machine.semantics(word, q)
-
-
 @dataclass(frozen=True)
 class NondetMoore:
     """Nondeterministic Moore machine: set-valued transitions and outputs."""

@@ -9,8 +9,6 @@ well-defined.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
 from collections import deque
 from typing import Optional, Sequence
 
@@ -90,13 +88,6 @@ class Network:
         return product_alphabet((e, self.edge_alphabet[e]) for e in self.out_edges[c])
 
 
-@dataclass(frozen=True)
-class SystemAlphabets:
-    inputs: Alphabet  # product over system input edges
-    outputs: Alphabet  # product over system output edges
-    total: Alphabet  # product over components' output alphabets
-
-
 class Mmn:
     """A network plus one Moore machine per component node.
 
@@ -156,42 +147,36 @@ class Mmn:
             (c, self.machines[c].output_alphabet) for c in self.components
         )
         in_pos = {e: k for k, e in enumerate(net.system_in_edges)}
-        # Per component: how to assemble its input symbol from the system
-        # input symbol and the per-component output symbols of the previous
-        # tick.  Each in-edge coordinate is either a digit of the system
-        # input or a digit of some component's output tuple:
-        # (src_index, src_stride, src_size, target_stride) per in-edge,
-        # src_index -1 meaning the system input symbol.
-        self._feed_plan: dict[NodeId, list[tuple[int, int, int, int]]] = {}
+        # Per component, how its input symbol is assembled on every tick:
+        # the part read from the system input (tabulated per system input
+        # symbol), the feeds (src_index, src_stride, src_size,
+        # target_stride) reading a digit of another component's output
+        # symbol, and the transition table that consumes the sum.
+        self._wiring: list[tuple[list[int], list[tuple], tuple]] = []
         for c in self.components:
-            plan = []
+            sys_part = [0] * len(self.system_inputs)
+            feeds = []
             target = self.machines[c].input_alphabet
-            if target._strides is None or len(target._strides) != len(net.in_edges[c]):
-                # structurally invalid (diagnostics will say so); no wiring
-                self._feed_plan[c] = []
-                continue
-            for pos, e in enumerate(net.in_edges[c]):
-                src = e[0]
-                tstride = target._strides[pos]
-                if net.node_class[src] == NODE_INPUT:
-                    k = in_pos[e]
-                    plan.append(
-                        (-1, self.system_inputs._strides[k],
-                         len(self.system_inputs.factors[k]), tstride)
-                    )
-                else:
-                    src_alpha = self.machines[src].output_alphabet
-                    pos_src = src_alpha.key_pos(e)
-                    plan.append(
-                        (self._comp_index[src], src_alpha._strides[pos_src],
-                         len(src_alpha.factors[pos_src]), tstride)
-                    )
-            self._feed_plan[c] = plan
+            # A structurally invalid component (diagnostics say so) gets no
+            # wiring.
+            if target._strides is not None and len(target._strides) == len(net.in_edges[c]):
+                for pos, e in enumerate(net.in_edges[c]):
+                    tstride = target._strides[pos]
+                    if net.node_class[e[0]] == NODE_INPUT:
+                        k = in_pos[e]
+                        stride = self.system_inputs._strides[k]
+                        size = len(self.system_inputs.factors[k])
+                        sys_part = [p + (i // stride) % size * tstride
+                                    for i, p in enumerate(sys_part)]
+                    else:
+                        src_alpha = self.machines[e[0]].output_alphabet
+                        pos_src = src_alpha.key_pos(e)
+                        feeds.append(
+                            (self._comp_index[e[0]], src_alpha._strides[pos_src],
+                             len(src_alpha.factors[pos_src]), tstride)
+                        )
+            self._wiring.append((sys_part, feeds, self.machines[c].transitions))
         self._outputs_by_comp = [self.machines[c].outputs for c in self.components]
-        self._step_plan = [
-            (self._feed_plan[c], self.machines[c].transitions)
-            for c in self.components
-        ]
         # System output restriction: which component/digit each out edge reads.
         self._out_reads: list[tuple[int, int]] = []
         for e in net.system_out_edges:
@@ -230,10 +215,10 @@ class Mmn:
     def component_input(self, c: NodeId, sys_in: int, outs: Sequence[int]) -> int:
         """The character component ``c`` consumes given the system input and
         the current per-component output symbols."""
-        sym = 0
-        for src, stride, size, tstride in self._feed_plan[c]:
-            v = sys_in if src < 0 else outs[src]
-            sym += ((v // stride) % size) * tstride
+        sys_part, feeds, _ = self._wiring[self._comp_index[c]]
+        sym = sys_part[sys_in]
+        for src, stride, size, tstride in feeds:
+            sym += ((outs[src] // stride) % size) * tstride
         return sym
 
     def system_output(self, config: Sequence[int]) -> int:
@@ -248,16 +233,28 @@ class Mmn:
         """One synchronous tick (deterministic); None if any component falls off."""
         outs = self.total_output(config)
         nxt = []
-        for k, (plan, transitions) in enumerate(self._step_plan):
-            sym = 0
-            for src, stride, size, tstride in plan:
-                v = sys_in if src < 0 else outs[src]
-                sym += ((v // stride) % size) * tstride
-            t = transitions[config[k]].get(sym)
+        for q, (sys_part, feeds, transitions) in zip(config, self._wiring):
+            sym = sys_part[sys_in]
+            for src, stride, size, tstride in feeds:
+                sym += ((outs[src] // stride) % size) * tstride
+            t = transitions[q].get(sym)
             if t is None:
                 return None
             nxt.append(t)
         return tuple(nxt)
+
+    def trajectory(self, word: Sequence[int]) -> list[tuple[int, ...]]:
+        """The configurations a deterministic run visits, the initial one
+        first; stops at the first tick on which some component has no move,
+        so a complete run has ``len(word) + 1`` entries."""
+        config = self.initial_configuration()
+        configs = [config]
+        for sys_in in word:
+            config = self.system_transition(config, sys_in)
+            if config is None:
+                break
+            configs.append(config)
+        return configs
 
     def nd_system_transition(self, config: Sequence[int], sys_in: int) -> list[tuple[int, ...]]:
         """Nondet tick: all successor configurations (may be empty).
@@ -294,10 +291,10 @@ class Mmn:
     ) -> list[int]:
         """All characters ``c`` can consume for the given system inputs and
         per-component output sets; exact per-edge factorization."""
-        syms = [0]
-        for src, stride, size, tstride in self._feed_plan[c]:
-            values = sys_ins if src < 0 else out_sets[src]
-            digits = sorted({(v // stride) % size for v in values})
+        sys_part, feeds, _ = self._wiring[self._comp_index[c]]
+        syms = sorted({sys_part[i] for i in sys_ins})
+        for src, stride, size, tstride in feeds:
+            digits = sorted({(v // stride) % size for v in out_sets[src]})
             syms = [sym + d * tstride for sym in syms for d in digits]
         return syms
 
@@ -349,22 +346,13 @@ class Mmn:
         traces: dict[Edge, list[int]] = {
             e: [] for e in net.edges if net.node_class[e[0]] != NODE_INPUT
         }
-        config = self.initial_configuration()
-        self._record(traces, config)
-        for sys_in in word:
-            nxt = self.system_transition(config, sys_in)
-            if nxt is None:
-                break
-            config = nxt
-            self._record(traces, config)
+        for config in self.trajectory(word):
+            outs = self.total_output(config)
+            for k, c in enumerate(self.components):
+                alpha = self.machines[c].output_alphabet
+                for pos, e in enumerate(net.out_edges[c]):
+                    traces[e].append(alpha.digit(outs[k], pos))
         return traces
-
-    def _record(self, traces, config):
-        outs = self.total_output(config)
-        for k, c in enumerate(self.components):
-            alpha = self.machines[c].output_alphabet
-            for pos, e in enumerate(self.network.out_edges[c]):
-                traces[e].append(alpha.digit(outs[k], pos))
 
 
 def validate(mmn: Mmn) -> list[str]:
@@ -372,18 +360,14 @@ def validate(mmn: Mmn) -> list[str]:
     return mmn.diagnostics()
 
 
-def system_alphabets(mmn: Mmn) -> SystemAlphabets:
-    return SystemAlphabets(mmn.system_inputs, mmn.system_outputs, mmn.total_outputs)
-
-
 class InducedMoore:
     """The system-level Moore machine of an MMN, materialized lazily.
 
     Configurations are interned on first visit; transition results are
-    memoized.  Thread-safe for concurrent readers (single lock around the
-    memo tables).  Exposes the same surface as DetMoore where it matters:
-    ``initial``, ``step``, ``output``, ``run``, ``semantics`` plus the two
-    alphabets.
+    memoized.  Every call may grow the memo tables, so an instance must not
+    be shared across threads.  Exposes the same surface as DetMoore where it
+    matters: ``initial``, ``step``, ``output``, ``run``, ``semantics`` plus
+    the two alphabets.
     """
 
     def __init__(self, mmn: Mmn):
@@ -396,7 +380,6 @@ class InducedMoore:
         self._ids: dict[tuple[int, ...], int] = {self._configs[0]: 0}
         self._trans: list[dict[int, Optional[int]]] = [dict()]
         self._outs: list[int] = [mmn.system_output(self._configs[0])]
-        self._lock = threading.Lock()
 
     initial = 0
 
@@ -411,19 +394,18 @@ class InducedMoore:
         if i in row:
             return row[i]
         nxt = self.mmn.system_transition(self._configs[q], i)
-        with self._lock:
-            if nxt is None:
-                row[i] = None
-                return None
-            t = self._ids.get(nxt)
-            if t is None:
-                t = len(self._configs)
-                self._ids[nxt] = t
-                self._configs.append(nxt)
-                self._trans.append(dict())
-                self._outs.append(self.mmn.system_output(nxt))
-            row[i] = t
-            return t
+        if nxt is None:
+            row[i] = None
+            return None
+        t = self._ids.get(nxt)
+        if t is None:
+            t = len(self._configs)
+            self._ids[nxt] = t
+            self._configs.append(nxt)
+            self._trans.append(dict())
+            self._outs.append(self.mmn.system_output(nxt))
+        row[i] = t
+        return t
 
     def output(self, q: int) -> int:
         return self._outs[q]

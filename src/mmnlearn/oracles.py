@@ -67,6 +67,13 @@ class QueryStats:
             cell[0] += resets
             cell[1] += steps
 
+    def _eq(self, level: Optional[NodeId]) -> None:
+        self.eq_count += 1
+        if level is None:
+            self.system_eq_count += 1
+        else:
+            self.component_eq_count += 1
+
     def snapshot(self) -> dict:
         return {
             "oq_resets": self.oq_resets,
@@ -165,17 +172,12 @@ class Sul:
         t0 = time.perf_counter()
         for c in self.components:
             self.stats._oq(c, len(word))
-        mmn = self._mmn
-        config = mmn.initial_configuration()
-        trace = [mmn.total_output(config)]
-        for sys_in in word:
-            nxt = mmn.system_transition(config, sys_in)
-            if nxt is None:
-                raise OracleContractError(
-                    "total output query fell off a partial component"
-                )
-            config = nxt
-            trace.append(mmn.total_output(config))
+        configs = self._mmn.trajectory(word)
+        if len(configs) <= len(word):
+            raise OracleContractError(
+                "total output query fell off a partial component"
+            )
+        trace = [self._mmn.total_output(config) for config in configs]
         self._logline("oq_bar", "component", len(word), len(trace))
         self.oracle_seconds += time.perf_counter() - t0
         return trace
@@ -190,40 +192,26 @@ class Sul:
         output (missing transitions in the hypothesis truncate its output
         and count as differences).
         """
-        t0 = time.perf_counter()
-        self.stats.eq_count += 1
-        self.stats.system_eq_count += 1
-        cfg = self.eq_config
-        n_in = len(self.system_inputs)
-        result = EQUIVALENT
-        for _ in range(cfg.words_per_eq):
-            word = tuple(self._rng.randrange(n_in) for _ in range(cfg.word_length))
-            self.stats.eq_resets += 1
-            self.stats.eq_steps += len(word)
-            if self._induced.semantics(word) != hypothesis.semantics(word):
-                result = Counterexample(word)
-                break
-        self._logline("eq", "system", cfg.word_length, 0)
-        self.oracle_seconds += time.perf_counter() - t0
-        return result
+        return self._random_eq(None, self._induced, hypothesis)
 
     def eq_c(self, c: NodeId, hypothesis) -> "Counterexample | bool":
         """Component-level testing EQ over the component's own alphabet."""
+        return self._random_eq(c, self._mmn.machines[c], hypothesis)
+
+    def _random_eq(self, level: Optional[NodeId], target, hypothesis):
         t0 = time.perf_counter()
-        self.stats.eq_count += 1
-        self.stats.component_eq_count += 1
+        self.stats._eq(level)
         cfg = self.eq_config
-        m = self._mmn.machines[c]
-        n_in = len(m.input_alphabet)
+        n_in = len(target.input_alphabet)
         result = EQUIVALENT
         for _ in range(cfg.words_per_eq):
             word = tuple(self._rng.randrange(n_in) for _ in range(cfg.word_length))
             self.stats.eq_resets += 1
             self.stats.eq_steps += len(word)
-            if m.semantics(word) != hypothesis.semantics(word):
+            if target.semantics(word) != hypothesis.semantics(word):
                 result = Counterexample(word)
                 break
-        self._logline("eq", str(c), cfg.word_length, 0)
+        self._logline("eq", "system" if level is None else str(level), cfg.word_length, 0)
         self.oracle_seconds += time.perf_counter() - t0
         return result
 
@@ -234,7 +222,7 @@ class Sul:
         SUL's induced machine.  Not charged to the query counters."""
         if isinstance(learned, Mmn):
             learned = InducedMoore(learned)
-        return equivalent(learned, InducedMoore(self._mmn))
+        return equivalent(learned, self._induced)
 
     # -- exact equivalence used in place of testing EQs ------------------------
 
@@ -244,12 +232,10 @@ class Sul:
         Counts as one EQ (no resets/steps: no words are executed).  Useful
         for regression runs where probabilistic EQs would add noise.
         """
-        self.stats.eq_count += 1
-        self.stats.system_eq_count += 1
-        return equivalent(hypothesis, InducedMoore(self._mmn))
+        self.stats._eq(None)
+        return equivalent(hypothesis, self._induced)
 
     def exact_eq_c(self, c: NodeId, hypothesis) -> "Counterexample | bool":
         """Component-level analogue of :meth:`exact_eq`."""
-        self.stats.eq_count += 1
-        self.stats.component_eq_count += 1
+        self.stats._eq(c)
         return equivalent(hypothesis, self._mmn.machines[c])

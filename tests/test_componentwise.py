@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mmnlearn import componentwise
 from mmnlearn.benchmarks import (
     binary_counter,
     counter_with_init,
@@ -162,7 +163,7 @@ def test_one_ext_eq_matches_generic_walk_on_identity_quotient(spec, bound):
         }
         reference = _walk_quotient(
             hyp.quotient_mmn(partitions), partitions, tables,
-            resolve_depth(params, tables), output_cap=10**5,
+            resolve_depth(params, tables),
         )
         assert fast == reference
         missing = sorted((c, s, i) for (c, s, i) in fast if s + (i,) not in tables[c])
@@ -182,12 +183,13 @@ def test_one_ext_eq_matches_generic_walk_on_identity_quotient(spec, bound):
     assert sul.validate_exact(hyp) is True
 
 
-def test_one_ext_output_cap_diagnostic():
+def test_one_ext_output_cap_diagnostic(monkeypatch):
     sul = Sul(mmn_ex(), EqTestConfig(seed=0))
     tables, _ = fresh_tables(sul)
     hyp = run_to_fixpoint(sul, CaParams(), tables)
+    monkeypatch.setattr(componentwise, "OUTPUT_CAP", 1)
     with pytest.raises(CaBlowupError):
-        one_ext_er(hyp, CaParams("uni", None, "d", 0), tables, output_cap=1)
+        one_ext_er(hyp, CaParams("uni", None, "d", 0), tables)
 
 
 # -- the three algorithms ----------------------------------------------------------

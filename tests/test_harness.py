@@ -100,6 +100,10 @@ def test_run_batch_learner_error_is_per_instance_verdict(monkeypatch, error):
     assert [r.validation for r in results] == [VALIDATED, ERROR, VALIDATED]
     assert results[1].error == "%s: boom" % error.__name__
     assert results[0].error == results[2].error == ""
+    # the mean row averages the two learned models only
+    aggregate = json.loads(report(results, "json"))["aggregate"]
+    assert aggregate["st."] == 14
+    assert aggregate["valid?"] == "2/0/0/1"
 
 
 def test_cli_learner_error_reports_then_exit_4(monkeypatch, tmp_path, capsys):
@@ -116,7 +120,7 @@ def test_cli_learner_error_reports_then_exit_4(monkeypatch, tmp_path, capsys):
     blob = json.loads(out.read_text())
     assert blob["instances"][0]["validation"] == ERROR
     assert "too many outputs" in blob["instances"][0]["error"]
-    assert "larger output cap" in capsys.readouterr().err
+    assert "finer abstraction" in capsys.readouterr().err
 
 
 def test_format_count_matches_table_style():
@@ -136,10 +140,10 @@ def test_report_formats():
     csv = report(results, "csv")
     lines = csv.strip().splitlines()
     assert len(lines) == 1 + 2 + 1  # header, rows, aggregate
-    assert lines[-1].endswith("2/0/0")
+    assert lines[-1].endswith("2/0/0/0")
     blob = json.loads(report(results, "json"))
     assert len(blob["instances"]) == 2
-    assert blob["aggregate"]["valid?"] == "2/0/0"
+    assert blob["aggregate"]["valid?"] == "2/0/0/0"
     roundtrip = json.dumps(blob)
     assert json.loads(roundtrip) == blob
 
@@ -192,6 +196,20 @@ def test_cli_learn_and_exit_code(tmp_path, capsys):
     ])
     assert code == 0
     assert "validated" in out.read_text()
+
+
+@pytest.mark.parametrize("flags, verdict", [
+    ([], "validated"),
+    (["--no-validate"], "not-validated"),
+])
+def test_cli_validates_by_default(tmp_path, capsys, flags, verdict):
+    out = tmp_path / "res.csv"
+    code = cli_main([
+        "learn", "--bench", "binctr:5", "--algo", "ccwl", "--seed", "1",
+        "--format", "csv", "--out", str(out),
+    ] + flags)
+    assert code == 0
+    assert out.read_text().splitlines()[1].split(",")[-1] == verdict
 
 
 def test_cli_bench_export_roundtrip(tmp_path, capsys):

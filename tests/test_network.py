@@ -1,7 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+import mmnlearn
 from mmnlearn.alphabet import Alphabet, unit_alphabet
 from mmnlearn.benchmarks import binary_counter, mmn_ex, rand_mmn
 from mmnlearn.machine import DetMoore, partition_eq_k, partition_uni, identity_partition
@@ -13,7 +15,6 @@ from mmnlearn.network import (
     NODE_COMPONENT,
     NODE_INPUT,
     NODE_OUTPUT,
-    system_alphabets,
     validate,
 )
 
@@ -61,10 +62,9 @@ def test_duplicate_edges_rejected():
 
 def test_system_alphabets_match_worked_example():
     m = mmn_ex()
-    alphas = system_alphabets(m)
-    assert alphas.inputs.names() == ["(a,c)", "(a,d)", "(b,c)", "(b,d)"]
-    assert alphas.outputs.names() == ["(x,z)", "(x,w)", "(y,z)", "(y,w)"]
-    assert len(alphas.total) == 16
+    assert m.system_inputs.names() == ["(a,c)", "(a,d)", "(b,c)", "(b,d)"]
+    assert m.system_outputs.names() == ["(x,z)", "(x,w)", "(y,z)", "(y,w)"]
+    assert len(m.total_outputs) == 16
     ic1 = m.network.component_input_alphabet("c1")
     assert ic1.names() == ["(a,3)", "(a,4)", "(b,3)", "(b,4)"]
     oc1 = m.network.component_output_alphabet("c1")
@@ -135,6 +135,13 @@ def test_system_transition_absent_when_component_stuck():
     # configuration with c2 in its transition-less (z,4) state
     for i in m.system_inputs:
         assert m.system_transition((1, 2), i) is None
+    # started in c2's state 1, c1's first output sends c2 into (z,4),
+    # where the run stops
+    stuck = Mmn(m.network, {**m.machines, "c2": replace(m.machines["c2"], initial=1)})
+    for i in m.system_inputs:
+        configs = stuck.trajectory((i, i, i))
+        assert len(configs) == 2 and configs[-1][1] == 2
+        assert len(InducedMoore(stuck).semantics((i, i, i))) == 2
 
 
 # -- induced machine ---------------------------------------------------------------
@@ -173,6 +180,10 @@ def test_induced_consistency_with_system_transition():
             assert ind.configuration(nxt_q) == nxt_cfg
             assert ind.output(nxt_q) == m.system_output(nxt_cfg)
             q, cfg = nxt_q, nxt_cfg
+
+
+def test_package_exports_resolve():
+    assert [name for name in mmnlearn.__all__ if not hasattr(mmnlearn, name)] == []
 
 
 def test_materialize_budget_refused():
@@ -226,6 +237,7 @@ def test_simulate_agrees_with_induced_semantics():
             word = tuple(rng.randrange(len(m.system_inputs)) for _ in range(8))
             traces = m.simulate(word)
             sem = ind.semantics(word)
+            assert len(m.trajectory(word)) == len(sem)
             for pos, e in enumerate(m.network.system_out_edges):
                 got = traces[e]
                 want = [m.system_outputs.digit(s, pos) for s in sem]
