@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .lstar import LearningTimeout, OqCache, analyze_cex, lstar
 from .machine import (
     Counterexample,
     DetMoore,
+    NondetMoore,
     StatePartition,
     Word,
     partition_eq_k,
@@ -173,7 +175,7 @@ def resolve_depth(params: CaParams, tables: dict[NodeId, ObservationTable]) -> O
         return None
     if params.bound == BOUND_DEPTH:
         return params.depth
-    sizes = [len({t.row(s) for s in t.S}) for t in tables.values()]
+    sizes = [len(t.S) for t in tables.values()]  # S rows are pairwise distinct
     if params.bound == BOUND_SUM:
         return sum(sizes)
     if params.bound == BOUND_MAX:
@@ -198,8 +200,9 @@ def one_ext_er(
     configuration, emits per component every input character the component
     can receive there, paired with the access string of every row its state
     stands for.  With the ``eq`` abstraction the walk runs on the
-    deterministic hypothesis directly; ``eqk`` and ``uni`` walk the quotient
-    of the hypothesis MMN under the abstraction.  Only the quotient walk
+    deterministic hypothesis directly; ``eqk`` and ``uni`` walk the
+    nondeterministic quotients of its components under the abstraction,
+    composed by the hypothesis's own wiring plan.  Only the quotient walk
     enumerates output sets, so only there is that enumeration capped:
     exceeding ``OUTPUT_CAP`` at one configuration aborts with a diagnostic
     instead of dropping tuples.
@@ -212,7 +215,7 @@ def one_ext_er(
         for c in hypothesis.components
     }
     return _walk_quotient(
-        hypothesis.quotient_mmn(partitions), partitions, tables, depth
+        hypothesis, hypothesis.quotient_mmn(partitions), partitions, tables, depth
     )
 
 
@@ -279,36 +282,45 @@ def _walk_deterministic(
 
 
 def _walk_quotient(
-    quotient: Mmn,
+    hypothesis: Mmn,
+    quotients: dict[NodeId, NondetMoore],
     partitions: dict[NodeId, StatePartition],
     tables: dict[NodeId, ObservationTable],
     depth: Optional[int],
 ) -> set[tuple[NodeId, Word, int]]:
-    """Context analysis on a prebuilt quotient of the hypothesis MMN.
+    """Context analysis on the quotients of the hypothesis components.
 
-    Emits, per visited abstract configuration and component, every input
-    character the component can receive, paired with the access string of
-    every concrete row in the abstract class.
+    An abstract configuration holds one block per component, and a block
+    emits every output of its states.  A component's bases at a
+    configuration are the sums of the digits its feeds read from the other
+    components' output sets.  Per block and bases, the block's targets on
+    every system input (the union over the bases plus that input's
+    system-input part) are computed once.  On a system input the successors
+    are the product of the components' targets, so a component with no
+    target blocks that input.  Every character a block receives (a base
+    plus a system-input part) is emitted with the access string of every
+    concrete row in the block.  The last level is recorded but not
+    expanded.
     """
-    comps = quotient.components
-    sys_in = list(quotient.system_inputs)
+    comps = hypothesis.components
+    sys_parts, feeds, _ = zip(*hypothesis._wiring)
+    outputs = [quotients[c].outputs for c in comps]
+    transitions = [quotients[c].transitions for c in comps]
+    # moves[k][b]: bases -> per system input, the union of block b's targets.
+    moves = [[{} for _ in trans] for trans in transitions]
 
-    # Access strings of concrete hypothesis states, grouped by abstract block.
-    rows_in_block: dict[NodeId, dict[int, list[Word]]] = {}
-    for c in comps:
-        groups: dict[int, list[Word]] = {}
-        for q, s in enumerate(tables[c].access_strings()):
-            groups.setdefault(partitions[c].block_of[q], []).append(s)
-        rows_in_block[c] = groups
-
-    emitted: set[tuple[NodeId, Word, int]] = set()
-    start_configs = quotient.initial_configurations()
-    seen = set(start_configs)
-    frontier = list(start_configs)
+    start = tuple(
+        partitions[c].block_of[q]
+        for c, q in zip(comps, hypothesis.initial_configuration())
+    )
+    seen = {start}
+    frontier = [start]
     level = 0
     while frontier:
+        expand = depth is None or level < depth
+        nxt = []
         for cfg in frontier:
-            out_sets = quotient.total_output_sets(cfg)
+            out_sets = [o[b] for o, b in zip(outputs, cfg)]
             combos = 1
             for outs in out_sets:
                 combos *= len(outs)
@@ -317,22 +329,41 @@ def _walk_quotient(
                     "context analysis would enumerate %d output tuples at one "
                     "configuration (cap %d)" % (combos, OUTPUT_CAP)
                 )
-            for k, c in enumerate(comps):
-                inputs = quotient._possible_inputs(c, sys_in, out_sets)
-                for s in rows_in_block[c][cfg[k]]:
-                    for i_c in inputs:
-                        emitted.add((c, s, i_c))
-        if depth is not None and level >= depth:
+            targets = []
+            for k, b in enumerate(cfg):
+                bases = (0,)
+                for src, stride, size, tstride in feeds[k]:
+                    digits = sorted({(v // stride) % size for v in out_sets[src]})
+                    bases = tuple(x + d * tstride for x in bases for d in digits)
+                known = moves[k][b]
+                t = known.get(bases)
+                if t is None:
+                    row = transitions[k][b]
+                    t = known[bases] = [
+                        frozenset().union(*(row.get(x + p, ()) for x in bases))
+                        for p in sys_parts[k]
+                    ]
+                targets.append(t)
+            if expand:
+                # A component with no target leaves an empty product.
+                for per_comp in zip(*targets):
+                    for succ in product(*per_comp):
+                        if succ not in seen:
+                            seen.add(succ)
+                            nxt.append(succ)
+        if not expand:
             break
-        nxt = []
-        for cfg in frontier:
-            for i in sys_in:
-                for succ in quotient.nd_system_transition(cfg, i):
-                    if succ not in seen:
-                        seen.add(succ)
-                        nxt.append(succ)
         frontier = nxt
         level += 1
+
+    emitted: set[tuple[NodeId, Word, int]] = set()
+    for k, c in enumerate(comps):
+        received = [
+            {x + p for bases in known for x in bases for p in sys_parts[k]}
+            for known in moves[k]
+        ]
+        for q, s in enumerate(tables[c].access_strings()):
+            emitted.update((c, s, i) for i in received[partitions[c].block_of[q]])
     return emitted
 
 

@@ -152,7 +152,6 @@ def lstar(
         if deadline is not None and time.monotonic() > deadline:
             raise LearningTimeout("learning budget exceeded", partial=table)
         table.close()
-        hypothesis = table.hypothesis()
         missing = [
             (s, i) for (s, i) in one_ext_lstar(table) if s + (i,) not in table
         ]
@@ -160,6 +159,7 @@ def lstar(
             for s, i in missing:
                 table.add_extension(s + (i,))
             continue
+        hypothesis = table.hypothesis()
         eq_calls += 1
         verdict = eq(hypothesis)
         if verdict is True:

@@ -286,38 +286,28 @@ def _group(values: list) -> list[int]:
     return out
 
 
-def quotient(machine, partition: StatePartition) -> NondetMoore:
+def quotient(machine: DetMoore, partition: StatePartition) -> NondetMoore:
     """Quotient Moore machine: blocks as states, unioned moves and outputs.
 
-    Accepts either machine kind; the result is nondeterministic and
-    overapproximates the source's defined behavior.
+    The result is nondeterministic and overapproximates the source's
+    defined behavior.
     """
     if partition.n_states != machine.n_states:
         raise MooreError("partition is over a different state count")
     nb = partition.n_blocks()
+    block_of = partition.block_of
     trans: list[dict[int, set[int]]] = [dict() for _ in range(nb)]
     outs: list[set[int]] = [set() for _ in range(nb)]
-    det = isinstance(machine, DetMoore)
     for q in range(machine.n_states):
-        b = partition.block_of[q]
-        if det:
-            outs[b].add(machine.outputs[q])
-        else:
-            outs[b].update(machine.outputs[q])
+        b = block_of[q]
+        outs[b].add(machine.outputs[q])
         for i, t in machine.transitions[q].items():
-            targets = (t,) if det else t
-            dst = trans[b].setdefault(i, set())
-            for tq in targets:
-                dst.add(partition.block_of[tq])
-    if det:
-        initials = frozenset((partition.block_of[machine.initial],))
-    else:
-        initials = frozenset(partition.block_of[q] for q in machine.initials)
+            trans[b].setdefault(i, set()).add(block_of[t])
     return NondetMoore(
         machine.input_alphabet,
         machine.output_alphabet,
         nb,
-        initials,
+        frozenset((block_of[machine.initial],)),
         tuple({i: frozenset(ts) for i, ts in row.items()} for row in trans),
         tuple(frozenset(o) for o in outs),
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional, Sequence
 
-from .alphabet import Alphabet, product_alphabet
+from .alphabet import Alphabet, AlphabetError, product_alphabet
 from .machine import DetMoore, NondetMoore, StatePartition, quotient, Word
 
 NodeId = str
@@ -89,14 +89,14 @@ class Network:
 
 
 class Mmn:
-    """A network plus one Moore machine per component node.
+    """A network plus one deterministic Moore machine per component node.
 
-    Components may be deterministic or nondeterministic (the latter arise
-    as quotients during context analysis).  Machines' alphabets must be in
-    accordance with the edge alphabets.
+    Machines' alphabets must be in accordance with the edge alphabets.
+    Nondeterministic quotients of the components exist only inside context
+    analysis (``quotient_mmn`` and the quotient walk in ``componentwise``).
     """
 
-    def __init__(self, network: Network, machines: dict[NodeId, DetMoore | NondetMoore], check: bool = True):
+    def __init__(self, network: Network, machines: dict[NodeId, DetMoore], check: bool = True):
         self.network = network
         self.machines = dict(machines)
         self.components = list(network.components)
@@ -116,6 +116,8 @@ class Mmn:
             if m is None:
                 problems.append("component %r has no machine" % c)
                 continue
+            if not isinstance(m, DetMoore):
+                problems.append("component %r is not a deterministic Moore machine" % c)
             want_in = self.network.component_input_alphabet(c)
             want_out = self.network.component_output_alphabet(c)
             if len(m.input_alphabet) != len(want_in) or tuple(
@@ -128,15 +130,10 @@ class Mmn:
                 problems.append("component %r output alphabet not the product of its out-edge alphabets" % c)
         return problems
 
-    @property
-    def is_deterministic(self) -> bool:
-        return self._all_det
-
     # -- wiring ------------------------------------------------------------
 
     def _build_wiring(self):
         net = self.network
-        self._all_det = all(isinstance(m, DetMoore) for m in self.machines.values())
         self.system_inputs = product_alphabet(
             (e, net.edge_alphabet[e]) for e in net.system_in_edges
         )
@@ -185,32 +182,11 @@ class Mmn:
             self._out_reads.append((self._comp_index[src], src_alpha.key_pos(e)))
 
     def initial_configuration(self) -> tuple[int, ...]:
-        inits = []
-        for c in self.components:
-            m = self.machines[c]
-            inits.append(m.initial if isinstance(m, DetMoore) else min(m.initials))
-        return tuple(inits)
-
-    def initial_configurations(self) -> list[tuple[int, ...]]:
-        """All initial configurations (a product set in the nondet case)."""
-        configs: list[tuple[int, ...]] = [()]
-        for c in self.components:
-            m = self.machines[c]
-            inits = [m.initial] if isinstance(m, DetMoore) else sorted(m.initials)
-            configs = [cfg + (q,) for cfg in configs for q in inits]
-        return configs
+        return tuple(self.machines[c].initial for c in self.components)
 
     def total_output(self, config: Sequence[int]) -> tuple[int, ...]:
-        """Per-component output symbols at a configuration (det variant)."""
+        """Per-component output symbols at a configuration."""
         return tuple(outs[q] for outs, q in zip(self._outputs_by_comp, config))
-
-    def total_output_sets(self, config: Sequence[int]) -> tuple[frozenset[int], ...]:
-        """Nondet variant: per-component sets of output symbols."""
-        out = []
-        for c, q in zip(self.components, config):
-            m = self.machines[c]
-            out.append(m.outputs[q] if isinstance(m, NondetMoore) else frozenset((m.outputs[q],)))
-        return tuple(out)
 
     def component_input(self, c: NodeId, sys_in: int, outs: Sequence[int]) -> int:
         """The character component ``c`` consumes given the system input and
@@ -244,9 +220,12 @@ class Mmn:
         return tuple(nxt)
 
     def trajectory(self, word: Sequence[int]) -> list[tuple[int, ...]]:
-        """The configurations a deterministic run visits, the initial one
-        first; stops at the first tick on which some component has no move,
-        so a complete run has ``len(word) + 1`` entries."""
+        """The configurations a run visits, the initial one first; stops at
+        the first tick on which some component has no move, so a complete run
+        has ``len(word) + 1`` entries.  Raises ``AlphabetError`` if any symbol
+        of ``word`` is not a system input."""
+        if word and (min(word) < 0 or max(word) >= len(self.system_inputs)):
+            raise AlphabetError("word has a symbol outside the system alphabet")
         config = self.initial_configuration()
         configs = [config]
         for sys_in in word:
@@ -255,48 +234,6 @@ class Mmn:
                 break
             configs.append(config)
         return configs
-
-    def nd_system_transition(self, config: Sequence[int], sys_in: int) -> list[tuple[int, ...]]:
-        """Nondet tick: all successor configurations (may be empty).
-
-        Per-component successor sets factorize over in-edges because the
-        network has at most one edge per ordered node pair, so coordinates
-        on distinct in-edges come from independent output factors.
-        """
-        out_sets = self.total_output_sets(config)
-        per_comp: list[list[int]] = []
-        for k, c in enumerate(self.components):
-            targets: set[int] = set()
-            for i_c in self._possible_inputs(c, [sys_in], out_sets):
-                m = self.machines[c]
-                if isinstance(m, NondetMoore):
-                    targets.update(m.transitions[config[k]].get(i_c, ()))
-                else:
-                    t = m.transitions[config[k]].get(i_c)
-                    if t is not None:
-                        targets.add(t)
-            if not targets:
-                return []
-            per_comp.append(sorted(targets))
-        configs: list[tuple[int, ...]] = [()]
-        for targets in per_comp:
-            configs = [cfg + (t,) for cfg in configs for t in targets]
-        return configs
-
-    def _possible_inputs(
-        self,
-        c: NodeId,
-        sys_ins: Sequence[int],
-        out_sets: Sequence[frozenset[int]],
-    ) -> list[int]:
-        """All characters ``c`` can consume for the given system inputs and
-        per-component output sets; exact per-edge factorization."""
-        sys_part, feeds, _ = self._wiring[self._comp_index[c]]
-        syms = sorted({sys_part[i] for i in sys_ins})
-        for src, stride, size, tstride in feeds:
-            digits = sorted({(v // stride) % size for v in out_sets[src]})
-            syms = [sym + d * tstride for sym in syms for d in digits]
-        return syms
 
     # -- derived machines ----------------------------------------------------
 
@@ -329,12 +266,13 @@ class Mmn:
             self.system_inputs, self.system_outputs, seen, 0, tuple(trans), outputs
         )
 
-    def quotient_mmn(self, partitions: dict[NodeId, StatePartition]) -> "Mmn":
-        """Same network, components replaced by their quotients."""
-        machines = {
-            c: quotient(self.machines[c], partitions[c]) for c in self.components
-        }
-        return Mmn(self.network, machines, check=False)
+    def quotient_mmn(self, partitions: dict[NodeId, StatePartition]) -> dict[NodeId, NondetMoore]:
+        """Each component's quotient under its partition.
+
+        The quotients keep the component alphabets, so this MMN's wiring
+        plan (``_wiring``) still describes how they are composed.
+        """
+        return {c: quotient(self.machines[c], partitions[c]) for c in self.components}
 
     def simulate(self, word: Sequence[int]) -> dict[Edge, list[int]]:
         """Tick-by-tick character traces on every non-system-input edge.
@@ -371,8 +309,6 @@ class InducedMoore:
     """
 
     def __init__(self, mmn: Mmn):
-        if not mmn.is_deterministic:
-            raise NetworkError("induced machine requires a deterministic MMN")
         self.mmn = mmn
         self.input_alphabet = mmn.system_inputs
         self.output_alphabet = mmn.system_outputs
@@ -393,6 +329,9 @@ class InducedMoore:
         row = self._trans[q]
         if i in row:
             return row[i]
+        # Only system inputs are ever memoized, so a hit needs no check.
+        if i not in self.input_alphabet:
+            raise AlphabetError("input symbol %d not in system alphabet" % i)
         nxt = self.mmn.system_transition(self._configs[q], i)
         if nxt is None:
             row[i] = None

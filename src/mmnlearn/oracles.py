@@ -3,7 +3,7 @@
 The harness holds the MMN white-box, but learners only ever see the network
 shape (which is a declared problem input) and the oracle methods below.
 Every oracle call updates the reset/step counters before returning, split
-by query kind (OQ vs EQ) and level (system vs per component).
+by query kind (OQ vs EQ) and, for OQs, by level (system vs per component).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, TextIO
 
-from .alphabet import AlphabetError
 from .machine import Counterexample, EQUIVALENT, Word, equivalent
 from .network import InducedMoore, Mmn, NodeId
 
@@ -50,8 +49,6 @@ class QueryStats:
     system_oq_steps: int = 0
     component_oq_resets: int = 0
     component_oq_steps: int = 0
-    system_eq_count: int = 0
-    component_eq_count: int = 0
     per_component: dict[NodeId, list[int]] = field(default_factory=dict)  # [resets, steps]
 
     def _oq(self, level: Optional[NodeId], steps: int, resets: int = 1) -> None:
@@ -67,12 +64,8 @@ class QueryStats:
             cell[0] += resets
             cell[1] += steps
 
-    def _eq(self, level: Optional[NodeId]) -> None:
+    def _eq(self) -> None:
         self.eq_count += 1
-        if level is None:
-            self.system_eq_count += 1
-        else:
-            self.component_eq_count += 1
 
     def snapshot(self) -> dict:
         return {
@@ -101,8 +94,6 @@ class Sul:
         eq_config: Optional[EqTestConfig] = None,
         query_log: Optional[TextIO] = None,
     ):
-        if not mmn.is_deterministic:
-            raise ValueError("SUL must be deterministic")
         self._mmn = mmn
         self._induced = InducedMoore(mmn)
         self.network = mmn.network  # problem input, visible to learners
@@ -130,13 +121,12 @@ class Sul:
 
     def oq(self, word: Sequence[int]) -> Word:
         """System-level output query: full output trace from the initial
-        configuration.  One reset plus one step per character."""
+        configuration.  One reset plus one step per character, charged once
+        the induced machine has accepted the word (``AlphabetError`` on a
+        foreign symbol)."""
         t0 = time.perf_counter()
-        for i in word:
-            if i not in self.system_inputs:
-                raise AlphabetError("input symbol %d not in system alphabet" % i)
-        self.stats._oq(None, len(word))
         out = self._induced.semantics(word)
+        self.stats._oq(None, len(word))
         self._logline("oq", "system", len(word), len(out))
         self.oracle_seconds += time.perf_counter() - t0
         return out
@@ -167,12 +157,13 @@ class Sul:
         Computed from one tick-driven run per component (a component's input
         at tick t depends only on outputs at tick t, thanks to the Moore
         delay), so it charges ``|V^c|`` resets and ``|V^c| * len(word)``
-        steps at the component level.
+        steps at the component level, once ``trajectory`` has accepted the
+        word.
         """
         t0 = time.perf_counter()
+        configs = self._mmn.trajectory(word)
         for c in self.components:
             self.stats._oq(c, len(word))
-        configs = self._mmn.trajectory(word)
         if len(configs) <= len(word):
             raise OracleContractError(
                 "total output query fell off a partial component"
@@ -200,7 +191,7 @@ class Sul:
 
     def _random_eq(self, level: Optional[NodeId], target, hypothesis):
         t0 = time.perf_counter()
-        self.stats._eq(level)
+        self.stats._eq()
         cfg = self.eq_config
         n_in = len(target.input_alphabet)
         result = EQUIVALENT
@@ -232,10 +223,10 @@ class Sul:
         Counts as one EQ (no resets/steps: no words are executed).  Useful
         for regression runs where probabilistic EQs would add noise.
         """
-        self.stats._eq(None)
+        self.stats._eq()
         return equivalent(hypothesis, self._induced)
 
     def exact_eq_c(self, c: NodeId, hypothesis) -> "Counterexample | bool":
         """Component-level analogue of :meth:`exact_eq`."""
-        self.stats._eq(c)
+        self.stats._eq()
         return equivalent(hypothesis, self._mmn.machines[c])

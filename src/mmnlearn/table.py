@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from .alphabet import Alphabet
 from .machine import DetMoore, Word
@@ -71,25 +71,26 @@ class ObservationTable:
         for u in self.R:
             self.fill(u)
 
-    def closedness_witness(self) -> Optional[Word]:
-        """First R element (insertion order) whose row matches no S row."""
-        s_rows = {self.row(s) for s in self.S}
-        for r in self.R:
-            if self.row(r) not in s_rows:
-                return r
-        return None
-
     def close(self) -> None:
-        """Move unmatched rows from R to S until closed."""
-        while True:
-            w = self.closedness_witness()
-            if w is None:
-                return
-            self.R.remove(w)
-            self.S.append(w)
+        """Move unmatched rows from R to S until closed.
+
+        One scan of R in insertion order suffices: S only grows, so a row
+        matched once stays matched.
+        """
+        s_rows = {self.row(s) for s in self.S}
+        matched = []
+        for r in self.R:
+            row = self.row(r)
+            if row in s_rows:
+                matched.append(r)
+            else:
+                s_rows.add(row)
+                self.S.append(r)
+        self.R = matched
 
     def is_closed(self) -> bool:
-        return self.closedness_witness() is None
+        s_rows = {self.row(s) for s in self.S}
+        return all(self.row(r) in s_rows for r in self.R)
 
     def hypothesis(self) -> DetMoore:
         """Hypothesis machine from a closed table.

@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +143,16 @@ def test_one_ext_abstraction_monotone():
     d0 = one_ext_er(hyp, CaParams("eq", None, "d", 0), tables)
     d2 = one_ext_er(hyp, CaParams("eq", None, "d", 2), tables)
     assert d0 <= d2 <= fine
+    # a finer partition's quotient walk reaches no more than a coarser one's
+    for seed in range(4):
+        sul = Sul(rand_mmn("path", 2, "lean", seed=seed, mean=3.0), EqTestConfig(seed=0))
+        tables, _ = fresh_tables(sul)
+        hyp = run_to_fixpoint(sul, CaParams(), tables)
+        fine, eq1, eq0, uni = (
+            one_ext_er(hyp, CaParams.parse(a, "dinf"), tables)
+            for a in ("eq", "eqk:1", "eqk:0", "uni")
+        )
+        assert fine <= eq1 <= eq0 <= uni
 
 
 @pytest.mark.parametrize("bound", ["dinf", "d:0", "d:1", "d:2", "dmin"])
@@ -162,7 +177,7 @@ def test_one_ext_eq_matches_generic_walk_on_identity_quotient(spec, bound):
             c: identity_partition(hyp.machines[c]) for c in hyp.components
         }
         reference = _walk_quotient(
-            hyp.quotient_mmn(partitions), partitions, tables,
+            hyp, hyp.quotient_mmn(partitions), partitions, tables,
             resolve_depth(params, tables),
         )
         assert fast == reference
@@ -181,6 +196,33 @@ def test_one_ext_eq_matches_generic_walk_on_identity_quotient(spec, bound):
         pytest.fail("no convergence within 500 rounds")
     assert fell_off_rounds > 0
     assert sul.validate_exact(hyp) is True
+
+
+_HASH_SEED_PROBE = """
+import json
+from mmnlearn.benchmarks import from_spec
+from mmnlearn.componentwise import CaParams, ccwl
+from mmnlearn.oracles import EqTestConfig, Sul
+runs = []
+for abstraction in ("uni", "eqk:0"):
+    sul = Sul(from_spec("mqtt"), EqTestConfig(seed=0))
+    res = ccwl(sul, CaParams.parse(abstraction, "d:0"))
+    runs.append([sul.stats.snapshot(), res.n_states, res.n_transitions])
+print(json.dumps(runs))
+"""
+
+
+def test_ccwl_counts_independent_of_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE], env=env,
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1]
 
 
 def test_one_ext_output_cap_diagnostic(monkeypatch):

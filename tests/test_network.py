@@ -4,9 +4,15 @@ from dataclasses import replace
 import pytest
 
 import mmnlearn
-from mmnlearn.alphabet import Alphabet, unit_alphabet
+from mmnlearn.alphabet import Alphabet, AlphabetError, unit_alphabet
 from mmnlearn.benchmarks import binary_counter, mmn_ex, rand_mmn
-from mmnlearn.machine import DetMoore, partition_eq_k, partition_uni, identity_partition
+from mmnlearn.machine import (
+    DetMoore,
+    identity_partition,
+    partition_eq_k,
+    partition_uni,
+    wrap_nondet,
+)
 from mmnlearn.network import (
     InducedMoore,
     Mmn,
@@ -46,6 +52,15 @@ def test_alphabet_accordance_diagnosed():
     assert any("'c1' input alphabet" in d for d in diags)
     with pytest.raises(NetworkError):
         Mmn(m.network, {**m.machines, "c1": bad})
+
+
+def test_nondeterministic_component_diagnosed():
+    m = mmn_ex()
+    machines = {**m.machines, "c1": wrap_nondet(m.machines["c1"])}
+    diags = Mmn(m.network, machines, check=False).diagnostics()
+    assert diags == ["component 'c1' is not a deterministic Moore machine"]
+    with pytest.raises(NetworkError):
+        Mmn(m.network, machines)
 
 
 def test_duplicate_edges_rejected():
@@ -106,8 +121,7 @@ def test_total_output_initial():
 def test_uni_quotient_total_output_sets():
     m = mmn_ex()
     q = m.quotient_mmn({c: partition_uni(m.machines[c]) for c in m.components})
-    sets = q.total_output_sets(q.initial_configuration())
-    assert len(sets[0]) == 2 and len(sets[1]) == 4  # 2 x 4 = 8 tuples
+    assert [len(q[c].outputs[0]) for c in m.components] == [2, 4]  # 8 tuples
 
 
 def test_system_transition_example():
@@ -152,6 +166,16 @@ def test_induced_semantics_example():
     ind = InducedMoore(m)
     out = ind.semantics((m.system_inputs.symbol("(a,c)"),))
     assert names(m.system_outputs, out) == ["(x,z)", "(y,z)"]
+
+
+def test_foreign_system_input_rejected():
+    m = mmn_ex()
+    assert len(m.system_inputs) == 4
+    for i in (-1, 4):
+        with pytest.raises(AlphabetError):
+            InducedMoore(m).semantics((i,))
+    with pytest.raises(AlphabetError):
+        m.trajectory((0, 4))
 
 
 def test_induced_binary_counter_example():
@@ -259,44 +283,14 @@ def test_binary_counter_carry_spacing():
 def test_quotient_mmn_identity_isomorphic():
     m = mmn_ex()
     q = m.quotient_mmn({c: identity_partition(m.machines[c]) for c in m.components})
-    assert not q.is_deterministic
-    assert all(q.machines[c].n_states == m.machines[c].n_states for c in m.components)
+    assert list(q) == m.components
+    assert all(q[c] == wrap_nondet(m.machines[c]) for c in m.components)
 
 
 def test_quotient_mmn_eq0_equals_identity_on_distinct_outputs():
     m = mmn_ex()
     q = m.quotient_mmn({c: partition_eq_k(m.machines[c], 0) for c in m.components})
-    assert all(q.machines[c].n_states == m.machines[c].n_states for c in m.components)
-
-
-def test_quotient_mmn_overapproximates_reachability():
-    # every concrete reachable configuration's block tuple is reachable
-    rng = random.Random(7)
-    for seed in range(4):
-        m = rand_mmn("path", 2, "lean", seed=seed, mean=3.0)
-        parts = {c: partition_eq_k(m.machines[c], rng.choice([0, 1])) for c in m.components}
-        q = m.quotient_mmn(parts)
-        concrete = {m.initial_configuration()}
-        frontier = [m.initial_configuration()]
-        while frontier:
-            cfg = frontier.pop()
-            for i in m.system_inputs:
-                nxt = m.system_transition(cfg, i)
-                if nxt is not None and nxt not in concrete:
-                    concrete.add(nxt)
-                    frontier.append(nxt)
-        abstract = set(q.initial_configurations())
-        frontier = list(abstract)
-        while frontier:
-            cfg = frontier.pop()
-            for i in m.system_inputs:
-                for nxt in q.nd_system_transition(cfg, i):
-                    if nxt not in abstract:
-                        abstract.add(nxt)
-                        frontier.append(nxt)
-        for cfg in concrete:
-            blocks = tuple(parts[c].block_of[q_] for c, q_ in zip(m.components, cfg))
-            assert blocks in abstract
+    assert all(q[c].n_states == m.machines[c].n_states for c in m.components)
 
 
 def test_configuration_count_bound():

@@ -7,7 +7,7 @@ from mmnlearn.alphabet import AlphabetError
 from mmnlearn.benchmarks import binary_counter, mmn_ex, rand_mmn
 from mmnlearn.machine import Counterexample, DetMoore
 from mmnlearn.network import InducedMoore
-from mmnlearn.oracles import EqTestConfig, Sul
+from mmnlearn.oracles import EqTestConfig, QueryStats, Sul
 
 
 def sul_for(mmn, seed=0, words=100, length=260):
@@ -46,6 +46,9 @@ def test_oq_rejects_foreign_character():
     s = sul_for(mmn_ex())
     with pytest.raises(AlphabetError):
         s.oq((999,))
+    with pytest.raises(AlphabetError):
+        s.oq_bar((-1,))
+    assert s.stats.snapshot() == QueryStats().snapshot()  # nothing charged
 
 
 def test_oq_c_examples():
