@@ -50,6 +50,11 @@ class Alphabet:
     def __contains__(self, sym: int) -> bool:
         return 0 <= sym < self._size
 
+    def check_word(self, word: Sequence[int]) -> None:
+        """Raise ``AlphabetError`` if a symbol of ``word`` is outside."""
+        if word and (min(word) < 0 or max(word) >= self._size):
+            raise AlphabetError("word has a symbol outside the alphabet")
+
     def name(self, sym: int) -> str:
         if not 0 <= sym < self._size:
             raise AlphabetError("symbol %d out of range" % sym)

@@ -78,34 +78,35 @@ class DetMoore:
     def n_transitions(self) -> int:
         return sum(len(row) for row in self.transitions)
 
-    def run(self, q: int, word: Iterable[int]) -> Optional[int]:
-        """Extended transition function; None once any step is undefined."""
+    def run(self, q: int, word: Sequence[int]) -> Optional[int]:
+        """Extended transition function; None once any step is undefined.
+        Checks the whole word first, like ``semantics``."""
+        self.input_alphabet.check_word(word)
+        transitions = self.transitions
         for i in word:
-            if i not in self.input_alphabet:
-                raise AlphabetError("input symbol %d not in alphabet" % i)
-            nxt = self.transitions[q].get(i)
-            if nxt is None:
+            q = transitions[q].get(i)
+            if q is None:
                 return None
-            q = nxt
         return q
 
     def semantics(self, word: Sequence[int], q: Optional[int] = None) -> Word:
         """Output word from state ``q`` (default initial).
 
         Total: length is 1 + (longest defined prefix of ``word``), i.e.
-        ``len(word) + 1`` exactly when the whole path is defined.
+        ``len(word) + 1`` exactly when the whole path is defined.  The whole
+        word is checked first: a foreign symbol raises ``AlphabetError`` even
+        after the point where a partial machine falls off.
         """
+        self.input_alphabet.check_word(word)
         if q is None:
             q = self.initial
-        out = [self.outputs[q]]
+        transitions, outputs = self.transitions, self.outputs
+        out = [outputs[q]]
         for i in word:
-            if i not in self.input_alphabet:
-                raise AlphabetError("input symbol %d not in alphabet" % i)
-            nxt = self.transitions[q].get(i)
-            if nxt is None:
+            q = transitions[q].get(i)
+            if q is None:
                 break
-            q = nxt
-            out.append(self.outputs[q])
+            out.append(outputs[q])
         return tuple(out)
 
 
@@ -340,22 +341,33 @@ def equivalent(m1, m2):
     if not _same_alphabet(m1.output_alphabet, m2.output_alphabet):
         raise MooreError("output alphabet mismatch")
     start = (m1.initial, m2.initial)
-    seen = {start: ()}
+    # Per discovered pair, the pair and input it was first reached from; the
+    # witness is rebuilt only once a difference shows.
+    parent: dict = {start: None}
     queue = deque((start,))
     while queue:
-        q1, q2 = queue.popleft()
-        path = seen[(q1, q2)]
+        pair = queue.popleft()
+        q1, q2 = pair
         if m1.output(q1) != m2.output(q2):
-            return Counterexample(path)
+            return Counterexample(_witness(parent, pair))
         for i in m1.input_alphabet:
             t1 = m1.step(q1, i)
             t2 = m2.step(q2, i)
             if (t1 is None) != (t2 is None):
-                return Counterexample(path + (i,))
+                return Counterexample(_witness(parent, pair) + (i,))
             if t1 is None:
                 continue
             key = (t1, t2)
-            if key not in seen:
-                seen[key] = path + (i,)
+            if key not in parent:
+                parent[key] = (pair, i)
                 queue.append(key)
     return EQUIVALENT
+
+
+def _witness(parent: dict, pair) -> Word:
+    """The BFS access path of ``pair``."""
+    inputs = []
+    while parent[pair] is not None:
+        pair, i = parent[pair]
+        inputs.append(i)
+    return tuple(reversed(inputs))

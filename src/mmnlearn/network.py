@@ -224,8 +224,7 @@ class Mmn:
         the first tick on which some component has no move, so a complete run
         has ``len(word) + 1`` entries.  Raises ``AlphabetError`` if any symbol
         of ``word`` is not a system input."""
-        if word and (min(word) < 0 or max(word) >= len(self.system_inputs)):
-            raise AlphabetError("word has a symbol outside the system alphabet")
+        self.system_inputs.check_word(word)
         config = self.initial_configuration()
         configs = [config]
         for sys_in in word:
@@ -349,22 +348,33 @@ class InducedMoore:
     def output(self, q: int) -> int:
         return self._outs[q]
 
-    def run(self, q: int, word) -> Optional[int]:
+    def run(self, q: int, word: Sequence[int]) -> Optional[int]:
+        """Like ``DetMoore.run``: the whole word is checked first."""
+        self.input_alphabet.check_word(word)
+        trans = self._trans
         for i in word:
-            nxt = self.step(q, i)
+            nxt = trans[q].get(i, -1)  # -1: memo miss; None: fall-off
+            if nxt == -1:
+                nxt = self.step(q, i)
             if nxt is None:
                 return None
             q = nxt
         return q
 
-    def semantics(self, word, q: Optional[int] = None) -> Word:
+    def semantics(self, word: Sequence[int], q: Optional[int] = None) -> Word:
+        """Like ``DetMoore.semantics``: the whole word is checked first, so a
+        foreign symbol raises ``AlphabetError`` even after a fall-off."""
+        self.input_alphabet.check_word(word)
         if q is None:
             q = self.initial
-        out = [self._outs[q]]
+        trans, outs = self._trans, self._outs
+        out = [outs[q]]
         for i in word:
-            nxt = self.step(q, i)
+            nxt = trans[q].get(i, -1)  # -1: memo miss; None: fall-off
+            if nxt == -1:
+                nxt = self.step(q, i)
             if nxt is None:
                 break
             q = nxt
-            out.append(self._outs[q])
+            out.append(outs[q])
         return tuple(out)

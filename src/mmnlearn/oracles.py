@@ -17,6 +17,21 @@ from .machine import Counterexample, EQUIVALENT, Word, equivalent
 from .network import InducedMoore, Mmn, NodeId
 
 
+def random_word(rng: random.Random, n: int, length: int) -> Word:
+    """``tuple(rng.randrange(n) for _ in range(length))``, without a
+    ``randrange`` call per symbol: the same ``getrandbits`` draws as
+    CPython's ``_randbelow_with_getrandbits``, so the same word and state."""
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    word = []
+    for _ in range(length):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        word.append(r)
+    return tuple(word)
+
+
 class OracleContractError(RuntimeError):
     """A total output query fell off a partial SUL component.
 
@@ -178,10 +193,11 @@ class Sul:
     def eq(self, hypothesis) -> "Counterexample | bool":
         """Random-word testing against the hypothesis system machine.
 
-        Draws up to ``words_per_eq`` uniform words of ``word_length`` and
-        returns the first word whose SUL output differs from the hypothesis
-        output (missing transitions in the hypothesis truncate its output
-        and count as differences).
+        Draws up to ``words_per_eq`` uniform words of ``word_length`` (each
+        symbol is ``randrange(|I|)`` of the SUL's seeded generator, see
+        :func:`random_word`) and returns the first word whose SUL output
+        differs from the hypothesis output (missing transitions in the
+        hypothesis truncate its output and count as differences).
         """
         return self._random_eq(None, self._induced, hypothesis)
 
@@ -196,7 +212,7 @@ class Sul:
         n_in = len(target.input_alphabet)
         result = EQUIVALENT
         for _ in range(cfg.words_per_eq):
-            word = tuple(self._rng.randrange(n_in) for _ in range(cfg.word_length))
+            word = random_word(self._rng, n_in, cfg.word_length)
             self.stats.eq_resets += 1
             self.stats.eq_steps += len(word)
             if target.semantics(word) != hypothesis.semantics(word):

@@ -36,6 +36,7 @@ class ObservationTable:
         self.E: list[Word] = [()]
         self.T: dict[Word, int] = {}
         self._row_cache: dict[Word, tuple[int, ...]] = {}
+        self._hypothesis: DetMoore | None = None  # valid until S, R or E change
         self.fill(())
 
     def __contains__(self, word: Word) -> bool:
@@ -60,12 +61,14 @@ class ObservationTable:
         assert prefix not in self._members
         self.R.append(prefix)
         self._members.add(prefix)
+        self._hypothesis = None
         self.fill(prefix)
 
     def add_suffix(self, suffix: Word) -> None:
         assert suffix not in self.E
         self.E.append(suffix)
         self._row_cache.clear()
+        self._hypothesis = None
         for u in self.S:
             self.fill(u)
         for u in self.R:
@@ -86,6 +89,7 @@ class ObservationTable:
             else:
                 s_rows.add(row)
                 self.S.append(r)
+                self._hypothesis = None
         self.R = matched
 
     def is_closed(self) -> bool:
@@ -96,8 +100,15 @@ class ObservationTable:
         """Hypothesis machine from a closed table.
 
         States are the (pairwise distinct) S rows; the transition on
-        (row(s), i) is defined exactly when s·i is in the table.
+        (row(s), i) is defined exactly when s·i is in the table.  The
+        machine is immutable, so it is built once and shared until the table
+        changes.
         """
+        if self._hypothesis is None:
+            self._hypothesis = self._build_hypothesis()
+        return self._hypothesis
+
+    def _build_hypothesis(self) -> DetMoore:
         state_of: dict[tuple[int, ...], int] = {}
         access: list[Word] = []
         for s in self.S:

@@ -90,6 +90,29 @@ def test_hypothesis_undefined_where_not_in_table():
     assert h.step(0, m.input_alphabet.symbol("(a,3)")) is None
 
 
+def test_hypothesis_cached_until_table_changes():
+    m = mmn_ex().machines["c1"]
+    a3, loop = m.input_alphabet.symbol("(a,3)"), m.input_alphabet.symbol("(b,3)")
+    tbl, _, _ = table_for(m)
+
+    def fresh():
+        h = tbl.hypothesis()
+        assert tbl.hypothesis() is h  # unchanged table: the same object
+        rebuilt = tbl._build_hypothesis()
+        assert h == rebuilt and equivalent(h, rebuilt) is True
+        return h
+
+    h0 = fresh()
+    tbl.add_extension((loop,))  # defines a hypothesis transition
+    assert fresh().step(0, loop) == 0 and h0.step(0, loop) is None
+    tbl.add_extension((a3, a3))  # not a one-step extension of S: ignored
+    fresh()
+    tbl.close()  # moves (a3, a3) into S
+    assert tbl.S == [(), (a3, a3)] and fresh().n_states == 2
+    tbl.add_suffix((a3,))  # table stays closed
+    fresh()
+
+
 def test_one_ext_counts():
     m = mmn_ex().machines["c1"]
     tbl, _, _ = table_for(m)

@@ -57,6 +57,19 @@ def test_det_run_rejects_foreign_symbols():
         det_run(m, 0, (99,))
 
 
+def test_foreign_symbol_rejected_anywhere_in_word():
+    m2 = fig_c2()
+    word = w(m2, "(c,2)", "(c,1)", "(c,1)")  # falls off at the last symbol
+    assert len(m2.semantics(word)) == 3
+    for bad in (-1, len(m2.input_alphabet)):
+        for pos in range(len(word) + 1):  # pos 3 lies past the fall-off
+            foreign = word[:pos] + (bad,) + word[pos:]
+            with pytest.raises(AlphabetError):
+                m2.semantics(foreign)
+            with pytest.raises(AlphabetError):
+                m2.run(m2.initial, foreign)
+
+
 def test_semantics_examples():
     m = fig_c1()
     assert out_names(m, m.semantics(w(m, "(a,3)", "(b,4)"))) == ["(x,1)", "(y,2)", "(y,2)"]
@@ -252,6 +265,26 @@ def brute_force_equivalent(m1, m2, max_len):
     return EQUIVALENT
 
 
+def path_bfs_equivalent(m1, m2):
+    """Reference for ``equivalent``: the same BFS, carrying every pair's
+    full access path."""
+    start = (m1.initial, m2.initial)
+    seen = {start: ()}
+    queue = [start]
+    for q1, q2 in queue:
+        path = seen[(q1, q2)]
+        if m1.output(q1) != m2.output(q2):
+            return Counterexample(path)
+        for i in m1.input_alphabet:
+            t1, t2 = m1.step(q1, i), m2.step(q2, i)
+            if (t1 is None) != (t2 is None):
+                return Counterexample(path + (i,))
+            if t1 is not None and (t1, t2) not in seen:
+                seen[(t1, t2)] = path + (i,)
+                queue.append((t1, t2))
+    return EQUIVALENT
+
+
 def test_equivalent_reflexive():
     m = fig_c2()
     assert equivalent(m, m) is True
@@ -280,6 +313,7 @@ def test_equivalent_counterexample_replays():
         )
         res = equivalent(m1, m2)
         sym = equivalent(m2, m1)
+        assert res == path_bfs_equivalent(m1, m2)  # the same shortest witness
         assert (res is True) == (sym is True)
         if res is not True:
             assert m1.semantics(res.word) != m2.semantics(res.word)

@@ -176,6 +176,20 @@ def test_foreign_system_input_rejected():
             InducedMoore(m).semantics((i,))
     with pytest.raises(AlphabetError):
         m.trajectory((0, 4))
+    # The whole word is checked, also past the tick where a run falls off
+    # and on memo hits.
+    stuck = InducedMoore(
+        Mmn(m.network, {**m.machines, "c2": replace(m.machines["c2"], initial=1)})
+    )
+    word = (0, 0, 0)
+    assert len(stuck.semantics(word)) == 2
+    for bad in (-1, 4):
+        for pos in range(len(word) + 1):
+            foreign = word[:pos] + (bad,) + word[pos:]
+            with pytest.raises(AlphabetError):
+                stuck.semantics(foreign)
+            with pytest.raises(AlphabetError):
+                stuck.run(stuck.initial, foreign)
 
 
 def test_induced_binary_counter_example():

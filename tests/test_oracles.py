@@ -7,7 +7,7 @@ from mmnlearn.alphabet import AlphabetError
 from mmnlearn.benchmarks import binary_counter, mmn_ex, rand_mmn
 from mmnlearn.machine import Counterexample, DetMoore
 from mmnlearn.network import InducedMoore
-from mmnlearn.oracles import EqTestConfig, QueryStats, Sul
+from mmnlearn.oracles import EqTestConfig, QueryStats, Sul, random_word
 
 
 def sul_for(mmn, seed=0, words=100, length=260):
@@ -129,6 +129,19 @@ def test_eq_wrong_initial_output_found_on_first_word():
     verdict = s.eq(wrong)
     assert isinstance(verdict, Counterexample)
     assert s.stats.eq_resets == 1
+    first = random.Random(5)
+    n = len(m.input_alphabet)
+    assert verdict.word == tuple(first.randrange(n) for _ in range(260))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 16, 100, 255, 256, 1000, 2**20 + 1])
+def test_random_word_is_the_randrange_stream(n):
+    for seed, length in ((0, 260), (97, 13)):
+        ref, fast = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            expected = tuple(ref.randrange(n) for _ in range(length))
+            assert random_word(fast, n, length) == expected
+        assert fast.getstate() == ref.getstate()
 
 
 def test_eq_detects_missing_transition_truncation():
