@@ -1,23 +1,19 @@
 """Active learning of Moore machines and Moore machine networks."""
 
-from .alphabet import Alphabet, product_alphabet, unit_alphabet
+from .alphabet import Alphabet, product_alphabet
 from .machine import (
     Counterexample,
     DetMoore,
     EQUIVALENT,
     NondetMoore,
     StatePartition,
-    det_run,
     equivalent,
     identity_partition,
-    nd_semantics,
     partition_eq_k,
     partition_uni,
     quotient,
-    reachable,
-    wrap_nondet,
 )
-from .network import InducedMoore, Mmn, Network, validate
+from .network import InducedMoore, Mmn, Network
 from .oracles import EqTestConfig, QueryStats, Sul
 from .table import ObservationTable
 from .lstar import lstar
@@ -25,12 +21,11 @@ from .componentwise import CaBlowupError, CaParams, LearnedSystem, ccwl, cwl, mn
 from . import benchmarks, harness, serialize
 
 __all__ = [
-    "Alphabet", "product_alphabet", "unit_alphabet",
+    "Alphabet", "product_alphabet",
     "Counterexample", "DetMoore", "EQUIVALENT", "NondetMoore", "StatePartition",
-    "det_run", "equivalent", "identity_partition",
-    "nd_semantics", "partition_eq_k", "partition_uni", "quotient", "reachable",
-    "wrap_nondet",
-    "InducedMoore", "Mmn", "Network", "validate",
+    "equivalent", "identity_partition", "partition_eq_k", "partition_uni",
+    "quotient",
+    "InducedMoore", "Mmn", "Network",
     "EqTestConfig", "QueryStats", "Sul",
     "ObservationTable", "lstar",
     "CaBlowupError", "CaParams", "LearnedSystem", "ccwl", "cwl", "mnl",

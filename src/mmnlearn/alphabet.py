@@ -20,8 +20,8 @@ class Alphabet:
     """A nonempty ordered finite set of symbols.
 
     Base alphabets are built from display names.  Product alphabets are built
-    with :func:`product_alphabet` and carry ``keys``/``factors`` so that
-    tuples can be projected per factor (see :meth:`restrict_to`).
+    with :func:`product_alphabet` and carry ``keys``/``factors``, so a symbol
+    can be read per factor (:meth:`digit`, :meth:`key_pos`).
     """
 
     __slots__ = ("_names", "_index", "keys", "factors", "_strides", "_size")
@@ -88,9 +88,6 @@ class Alphabet:
     def is_product(self) -> bool:
         return self.factors is not None
 
-    def arity(self) -> int:
-        return len(self.factors) if self.factors is not None else 1
-
     def digits(self, sym: int) -> tuple[int, ...]:
         """Per-factor symbols of a product symbol."""
         assert self._strides is not None and self.factors is not None
@@ -116,17 +113,6 @@ class Alphabet:
     def key_pos(self, key: Hashable) -> int:
         assert self.keys is not None
         return self.keys.index(key)
-
-    def restrict_to(self, other: "Alphabet", sym: int) -> int:
-        """Project a symbol of this product alphabet onto ``other``.
-
-        ``other`` must be a product alphabet whose keys form a subset of this
-        one's.  Extended pointwise to words by callers.
-        """
-        assert self.keys is not None and other.keys is not None
-        digits = self.digits(sym)
-        by_key = dict(zip(self.keys, digits))
-        return other.encode(tuple(by_key[k] for k in other.keys))
 
     def __repr__(self) -> str:
         if self._size <= 8:
@@ -160,18 +146,6 @@ def product_alphabet(factors: Iterable[tuple[Hashable, Alphabet]]) -> Alphabet:
     return obj
 
 
-def unit_alphabet() -> Alphabet:
-    """The alphabet of the empty tuple (restriction over no edges)."""
-    obj = Alphabet.__new__(Alphabet)
-    obj._names = None
-    obj._index = {}
-    obj.keys = ()
-    obj.factors = ()
-    obj._strides = ()
-    obj._size = 1
-    return obj
-
-
 def _split_tuple_name(body: str) -> list[str]:
     """Split "a,(b,c),d" at depth-0 commas."""
     parts = []
@@ -189,11 +163,3 @@ def _split_tuple_name(body: str) -> list[str]:
             cur.append(ch)
     parts.append("".join(cur))
     return parts
-
-
-def word_from_names(alphabet: Alphabet, names: Iterable[str]) -> tuple[int, ...]:
-    return tuple(alphabet.symbol(n) for n in names)
-
-
-def word_names(alphabet: Alphabet, word: Iterable[int]) -> list[str]:
-    return [alphabet.name(s) for s in word]

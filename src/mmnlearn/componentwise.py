@@ -20,7 +20,6 @@ from typing import Optional
 
 from .lstar import LearningTimeout, OqCache, analyze_cex, lstar
 from .machine import (
-    Counterexample,
     DetMoore,
     NondetMoore,
     StatePartition,
@@ -96,19 +95,14 @@ class CaParams:
 
 @dataclass
 class LearnedSystem:
-    """Result of a learning run, plus provenance."""
+    """Result of a learning run; query counts live in the SUL's ``stats``."""
 
     algorithm: str
     mmn: Optional[Mmn] = None  # componentwise results
     machine: Optional[DetMoore] = None  # monolithic result
-    ca_params: Optional[CaParams] = None
-    seed: Optional[int] = None  # the SUL's EQ stream seed
-    eq_calls: int = 0
     max_cex_length: int = 0
     n_states: int = 0
     n_transitions: int = 0
-    tables: Optional[dict[NodeId, ObservationTable]] = None
-    events: Optional[list[str]] = None
 
     def system_machine(self):
         return self.machine if self.machine is not None else InducedMoore(self.mmn)
@@ -122,8 +116,7 @@ def mnl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None,
         memoize=memoize, deadline=deadline,
     )
     return LearnedSystem(
-        "mnl", machine=res.machine, seed=sul.eq_config.seed,
-        eq_calls=res.eq_calls, max_cex_length=res.max_cex_length,
+        "mnl", machine=res.machine, max_cex_length=res.max_cex_length,
         n_states=res.machine.n_states,
         n_transitions=res.machine.n_transitions(),
     )
@@ -134,8 +127,6 @@ def cwl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None,
     """Naive componentwise L*: each component learned in isolation."""
     eq_c = eq_c or sul.eq_c
     machines: dict[NodeId, DetMoore] = {}
-    tables: dict[NodeId, ObservationTable] = {}
-    eq_calls = 0
     max_cex = 0
     for c in sul.components:
         res = lstar(
@@ -146,16 +137,12 @@ def cwl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None,
             memoize=memoize, deadline=deadline,
         )
         machines[c] = res.machine
-        tables[c] = res.table
-        eq_calls += res.eq_calls
         max_cex = max(max_cex, res.max_cex_length)
     mmn = Mmn(sul.network, machines, check=False)
     return LearnedSystem(
-        "cwl", mmn=mmn, seed=sul.eq_config.seed,
-        eq_calls=eq_calls, max_cex_length=max_cex,
+        "cwl", mmn=mmn, max_cex_length=max_cex,
         n_states=sum(m.n_states for m in machines.values()),
         n_transitions=sum(m.n_transitions() for m in machines.values()),
-        tables=tables,
     )
 
 
@@ -445,7 +432,7 @@ def ccwl(
     max_cex = 0
     while True:
         if deadline is not None and time.monotonic() > deadline:
-            raise LearningTimeout("learning budget exceeded", partial=tables)
+            raise LearningTimeout("learning budget exceeded")
         for c in sul.components:
             tables[c].close()
         hypothesis = assemble(sul, tables)
@@ -469,15 +456,11 @@ def ccwl(
             if event_log is not None:
                 event_log.append("eq yes after %d queries" % eq_calls)
             return LearnedSystem(
-                "ccwl", mmn=hypothesis, ca_params=params,
-                seed=sul.eq_config.seed, eq_calls=eq_calls,
-                max_cex_length=max_cex,
+                "ccwl", mmn=hypothesis, max_cex_length=max_cex,
                 n_states=sum(m.n_states for m in hypothesis.machines.values()),
                 n_transitions=sum(
                     m.n_transitions() for m in hypothesis.machines.values()
                 ),
-                tables=tables,
-                events=event_log,
             )
         max_cex = max(max_cex, len(verdict.word))
         if event_log is not None:

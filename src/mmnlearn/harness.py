@@ -98,10 +98,6 @@ class ExperimentResult:
         return dict(self.__dict__)
 
 
-def _instance_seed(cfg: ExperimentConfig, idx: int) -> int:
-    return cfg.seed + idx
-
-
 def build_sul(cfg: ExperimentConfig, seed: int) -> Sul:
     spec = cfg.benchmark
     if spec.startswith("rand:") and "seed=" not in spec:
@@ -173,7 +169,7 @@ def run_batch(cfg: ExperimentConfig, workers: int = 1) -> list[ExperimentResult]
     its learner/SUL pair; results are joined in seed order).  Interrupt-safe
     either way: results collected so far are returned on KeyboardInterrupt.
     """
-    seeds = [_instance_seed(cfg, idx) for idx in range(cfg.instances)]
+    seeds = range(cfg.seed, cfg.seed + cfg.instances)
     results: list[ExperimentResult] = []
     if workers <= 1:
         try:
@@ -199,16 +195,25 @@ def run_batch(cfg: ExperimentConfig, workers: int = 1) -> list[ExperimentResult]
 
 
 def format_count(value: float) -> str:
-    """The tables' K/M abbreviation, e.g. 26000 -> '26K'."""
-    if value >= 10**6:
-        scaled = value / 10**6
-        return ("%.1fM" if scaled < 10 else "%.0fM") % scaled
-    if value >= 1000:
-        scaled = value / 1000
-        return ("%.1fK" if scaled < 10 else "%.0fK") % scaled
+    """The tables' K/M abbreviation, e.g. 26000 -> '26K'.
+
+    The unit is picked after rounding: 9,999 reads '10K' and 999,999 reads
+    '1.0M'.
+    """
     if isinstance(value, float) and not value.is_integer():
-        return "%.1f" % value
-    return "%d" % value
+        text = "%.1f" % value
+    else:
+        text = "%d" % value
+    unit = ""
+    for larger in ("K", "M"):
+        if float(text) < 1000:
+            break
+        value /= 1000
+        text = "%.1f" % value
+        if float(text) >= 10:
+            text = "%.0f" % value
+        unit = larger
+    return text + unit
 
 
 def _aggregate(results: list[ExperimentResult]) -> dict:

@@ -19,9 +19,7 @@ from .table import ObservationTable, SpuriousCounterexampleError
 
 
 class LearningTimeout(RuntimeError):
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """The learner passed its deadline."""
 
 
 @dataclass
@@ -150,7 +148,7 @@ def lstar(
     max_cex = 0
     while True:
         if deadline is not None and time.monotonic() > deadline:
-            raise LearningTimeout("learning budget exceeded", partial=table)
+            raise LearningTimeout("learning budget exceeded")
         table.close()
         missing = [
             (s, i) for (s, i) in one_ext_lstar(table) if s + (i,) not in table

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .alphabet import Alphabet, AlphabetError
 
@@ -59,8 +59,9 @@ class DetMoore:
             if o not in self.output_alphabet:
                 raise MooreError("output symbol %d not in alphabet" % o)
 
-    # The step/output/initial surface below is shared with lazy induced
-    # machines (mmn.InducedMoore); equivalence and oracles only use it.
+    # ``initial``, ``step``, ``output``, ``semantics`` and the two alphabets
+    # are shared with the lazy ``network.InducedMoore``; ``equivalent`` and
+    # the oracles use only this surface.
 
     def step(self, q: int, i: int) -> Optional[int]:
         if i not in self.input_alphabet:
@@ -77,17 +78,6 @@ class DetMoore:
 
     def n_transitions(self) -> int:
         return sum(len(row) for row in self.transitions)
-
-    def run(self, q: int, word: Sequence[int]) -> Optional[int]:
-        """Extended transition function; None once any step is undefined.
-        Checks the whole word first, like ``semantics``."""
-        self.input_alphabet.check_word(word)
-        transitions = self.transitions
-        for i in word:
-            q = transitions[q].get(i)
-            if q is None:
-                return None
-        return q
 
     def semantics(self, word: Sequence[int], q: Optional[int] = None) -> Word:
         """Output word from state ``q`` (default initial).
@@ -110,12 +100,6 @@ class DetMoore:
         return tuple(out)
 
 
-def det_run(machine: DetMoore, q: int, word: Sequence[int]) -> Optional[int]:
-    if not 0 <= q < machine.n_states:
-        raise MooreError("state %d out of range" % q)
-    return machine.run(q, word)
-
-
 @dataclass(frozen=True)
 class NondetMoore:
     """Nondeterministic Moore machine: set-valued transitions and outputs."""
@@ -133,73 +117,6 @@ class NondetMoore:
         for outs in self.outputs:
             if not outs:
                 raise MooreError("output sets must be nonempty")
-
-    def step_set(self, states: frozenset[int], i: int) -> frozenset[int]:
-        if i not in self.input_alphabet:
-            raise AlphabetError("input symbol %d not in alphabet" % i)
-        acc: set[int] = set()
-        for q in states:
-            acc.update(self.transitions[q].get(i, ()))
-        return frozenset(acc)
-
-    def output_set(self, states: Iterable[int]) -> frozenset[int]:
-        acc: set[int] = set()
-        for q in states:
-            acc.update(self.outputs[q])
-        return frozenset(acc)
-
-
-def wrap_nondet(machine: DetMoore) -> NondetMoore:
-    """Singleton embedding of a deterministic machine."""
-    trans = tuple(
-        {i: frozenset((t,)) for i, t in row.items()} for row in machine.transitions
-    )
-    outs = tuple(frozenset((o,)) for o in machine.outputs)
-    return NondetMoore(
-        machine.input_alphabet,
-        machine.output_alphabet,
-        machine.n_states,
-        frozenset((machine.initial,)),
-        trans,
-        outs,
-    )
-
-
-def nd_semantics(
-    machine: NondetMoore, states: Iterable[int], word: Sequence[int]
-) -> list[frozenset[int]]:
-    """Sequence of output sets, length ``len(word) + 1``; empty once stuck."""
-    cur = frozenset(states)
-    out = [machine.output_set(cur)] if cur else [frozenset()]
-    for i in word:
-        cur = machine.step_set(cur, i)
-        out.append(machine.output_set(cur) if cur else frozenset())
-    return out
-
-
-def reachable(machine, depth: Optional[int] = None) -> set[int]:
-    """States reachable from the initial state(s) by words of length <= depth."""
-    if isinstance(machine, NondetMoore):
-        frontier = sorted(machine.initials)
-        succ = lambda q, i: machine.transitions[q].get(i, ())
-    else:
-        frontier = [machine.initial]
-        succ = lambda q, i: (
-            (machine.transitions[q][i],) if i in machine.transitions[q] else ()
-        )
-    seen = set(frontier)
-    d = 0
-    while frontier and (depth is None or d < depth):
-        nxt = []
-        for q in frontier:
-            for i in machine.input_alphabet:
-                for t in succ(q, i):
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-        frontier = nxt
-        d += 1
-    return seen
 
 
 # -- partitions and quotients ---------------------------------------------
@@ -232,15 +149,6 @@ class StatePartition:
 
     def n_blocks(self) -> int:
         return len(self.blocks)
-
-    def refines(self, coarser: "StatePartition") -> bool:
-        rep: dict[int, int] = {}
-        for q in range(self.n_states):
-            b = self.block_of[q]
-            c = coarser.block_of[q]
-            if rep.setdefault(b, c) != c:
-                return False
-        return True
 
 
 def identity_partition(machine) -> StatePartition:

@@ -292,19 +292,14 @@ class Mmn:
         return traces
 
 
-def validate(mmn: Mmn) -> list[str]:
-    """Structural diagnostics; empty list means the MMN is well formed."""
-    return mmn.diagnostics()
-
-
 class InducedMoore:
     """The system-level Moore machine of an MMN, materialized lazily.
 
     Configurations are interned on first visit; transition results are
     memoized.  Every call may grow the memo tables, so an instance must not
-    be shared across threads.  Exposes the same surface as DetMoore where it
-    matters: ``initial``, ``step``, ``output``, ``run``, ``semantics`` plus
-    the two alphabets.
+    be shared across threads.  Exposes the surface of DetMoore that
+    ``equivalent`` and the oracles use: ``initial``, ``step``, ``output``,
+    ``semantics`` plus the two alphabets.
     """
 
     def __init__(self, mmn: Mmn):
@@ -347,19 +342,6 @@ class InducedMoore:
 
     def output(self, q: int) -> int:
         return self._outs[q]
-
-    def run(self, q: int, word: Sequence[int]) -> Optional[int]:
-        """Like ``DetMoore.run``: the whole word is checked first."""
-        self.input_alphabet.check_word(word)
-        trans = self._trans
-        for i in word:
-            nxt = trans[q].get(i, -1)  # -1: memo miss; None: fall-off
-            if nxt == -1:
-                nxt = self.step(q, i)
-            if nxt is None:
-                return None
-            q = nxt
-        return q
 
     def semantics(self, word: Sequence[int], q: Optional[int] = None) -> Word:
         """Like ``DetMoore.semantics``: the whole word is checked first, so a

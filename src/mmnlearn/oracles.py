@@ -2,16 +2,16 @@
 
 The harness holds the MMN white-box, but learners only ever see the network
 shape (which is a declared problem input) and the oracle methods below.
-Every oracle call updates the reset/step counters before returning, split
-by query kind (OQ vs EQ) and, for OQs, by level (system vs per component).
+Every charged oracle call updates ``QueryStats`` once its word has been
+accepted: OQ resets and steps, or EQ count, resets and steps.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, TextIO
+from dataclasses import asdict, dataclass
+from typing import Optional, Sequence
 
 from .machine import Counterexample, EQUIVALENT, Word, equivalent
 from .network import InducedMoore, Mmn, NodeId
@@ -60,40 +60,16 @@ class QueryStats:
     eq_count: int = 0
     eq_resets: int = 0
     eq_steps: int = 0
-    system_oq_resets: int = 0
-    system_oq_steps: int = 0
-    component_oq_resets: int = 0
-    component_oq_steps: int = 0
-    per_component: dict[NodeId, list[int]] = field(default_factory=dict)  # [resets, steps]
 
-    def _oq(self, level: Optional[NodeId], steps: int, resets: int = 1) -> None:
-        self.oq_resets += resets
+    def _oq(self, steps: int) -> None:
+        self.oq_resets += 1
         self.oq_steps += steps
-        if level is None:
-            self.system_oq_resets += resets
-            self.system_oq_steps += steps
-        else:
-            self.component_oq_resets += resets
-            self.component_oq_steps += steps
-            cell = self.per_component.setdefault(level, [0, 0])
-            cell[0] += resets
-            cell[1] += steps
 
     def _eq(self) -> None:
         self.eq_count += 1
 
     def snapshot(self) -> dict:
-        return {
-            "oq_resets": self.oq_resets,
-            "oq_steps": self.oq_steps,
-            "eq_count": self.eq_count,
-            "eq_resets": self.eq_resets,
-            "eq_steps": self.eq_steps,
-            "system_oq_resets": self.system_oq_resets,
-            "system_oq_steps": self.system_oq_steps,
-            "component_oq_resets": self.component_oq_resets,
-            "component_oq_steps": self.component_oq_steps,
-        }
+        return asdict(self)
 
 
 class Sul:
@@ -103,12 +79,7 @@ class Sul:
     must not be interleaved across threads.
     """
 
-    def __init__(
-        self,
-        mmn: Mmn,
-        eq_config: Optional[EqTestConfig] = None,
-        query_log: Optional[TextIO] = None,
-    ):
+    def __init__(self, mmn: Mmn, eq_config: Optional[EqTestConfig] = None):
         self._mmn = mmn
         self._induced = InducedMoore(mmn)
         self.network = mmn.network  # problem input, visible to learners
@@ -120,17 +91,12 @@ class Sul:
         self.stats = QueryStats()
         self.oracle_seconds = 0.0
         self.contract_violations = 0
-        self._log = query_log
 
     def component_input_alphabet(self, c: NodeId):
         return self._mmn.machines[c].input_alphabet
 
     def component_output_alphabet(self, c: NodeId):
         return self._mmn.machines[c].output_alphabet
-
-    def _logline(self, kind: str, level: str, wlen: int, rlen: int) -> None:
-        if self._log is not None:
-            self._log.write("%s %s %d %d\n" % (kind, level, wlen, rlen))
 
     # -- output queries ------------------------------------------------------
 
@@ -141,28 +107,24 @@ class Sul:
         foreign symbol)."""
         t0 = time.perf_counter()
         out = self._induced.semantics(word)
-        self.stats._oq(None, len(word))
-        self._logline("oq", "system", len(word), len(out))
+        self.stats._oq(len(word))
         self.oracle_seconds += time.perf_counter() - t0
         return out
 
     def oq_c(self, c: NodeId, word: Sequence[int]) -> Word:
         """Component-level output query against component ``c`` alone.
 
-        A word falling off a partial component returns the truncated trace
+        Charged like ``oq``, once the component has accepted the word.  A
+        word falling off a partial component returns the truncated trace
         and bumps ``contract_violations``: learning declares completeness
         over the component alphabets, so truncation is worth flagging, but
         the caller decides whether it matters.
         """
         t0 = time.perf_counter()
-        m = self._mmn.machines[c]
-        self.stats._oq(c, len(word))
-        out = m.semantics(word)
+        out = self._mmn.machines[c].semantics(word)
+        self.stats._oq(len(word))
         if len(out) != len(word) + 1:
             self.contract_violations += 1
-            self._logline("oq-truncated", str(c), len(word), len(out))
-        else:
-            self._logline("oq", str(c), len(word), len(out))
         self.oracle_seconds += time.perf_counter() - t0
         return out
 
@@ -172,19 +134,17 @@ class Sul:
         Computed from one tick-driven run per component (a component's input
         at tick t depends only on outputs at tick t, thanks to the Moore
         delay), so it charges ``|V^c|`` resets and ``|V^c| * len(word)``
-        steps at the component level, once ``trajectory`` has accepted the
-        word.
+        steps, once ``trajectory`` has accepted the word.
         """
         t0 = time.perf_counter()
         configs = self._mmn.trajectory(word)
-        for c in self.components:
-            self.stats._oq(c, len(word))
+        for _ in self.components:
+            self.stats._oq(len(word))
         if len(configs) <= len(word):
             raise OracleContractError(
                 "total output query fell off a partial component"
             )
         trace = [self._mmn.total_output(config) for config in configs]
-        self._logline("oq_bar", "component", len(word), len(trace))
         self.oracle_seconds += time.perf_counter() - t0
         return trace
 
@@ -199,13 +159,13 @@ class Sul:
         differs from the hypothesis output (missing transitions in the
         hypothesis truncate its output and count as differences).
         """
-        return self._random_eq(None, self._induced, hypothesis)
+        return self._random_eq(self._induced, hypothesis)
 
     def eq_c(self, c: NodeId, hypothesis) -> "Counterexample | bool":
         """Component-level testing EQ over the component's own alphabet."""
-        return self._random_eq(c, self._mmn.machines[c], hypothesis)
+        return self._random_eq(self._mmn.machines[c], hypothesis)
 
-    def _random_eq(self, level: Optional[NodeId], target, hypothesis):
+    def _random_eq(self, target, hypothesis):
         t0 = time.perf_counter()
         self.stats._eq()
         cfg = self.eq_config
@@ -218,7 +178,6 @@ class Sul:
             if target.semantics(word) != hypothesis.semantics(word):
                 result = Counterexample(word)
                 break
-        self._logline("eq", "system" if level is None else str(level), cfg.word_length, 0)
         self.oracle_seconds += time.perf_counter() - t0
         return result
 

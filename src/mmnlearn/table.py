@@ -92,10 +92,6 @@ class ObservationTable:
                 self._hypothesis = None
         self.R = matched
 
-    def is_closed(self) -> bool:
-        s_rows = {self.row(s) for s in self.S}
-        return all(self.row(r) in s_rows for r in self.R)
-
     def hypothesis(self) -> DetMoore:
         """Hypothesis machine from a closed table.
 
@@ -131,9 +127,6 @@ class ObservationTable:
 
     def access_strings(self) -> list[Word]:
         return list(self.S)
-
-    def n_distinct_rows(self) -> int:
-        return len({self.row(u) for u in self.S + self.R})
 
     def dump(self) -> str:
         """Human-readable rows-by-columns dump for debugging/golden tests."""

@@ -4,9 +4,6 @@ from mmnlearn.alphabet import (
     Alphabet,
     AlphabetError,
     product_alphabet,
-    unit_alphabet,
-    word_from_names,
-    word_names,
 )
 
 
@@ -47,24 +44,6 @@ def test_nested_product_names():
     assert outer.symbol(name) == outer.encode((2, 0))
 
 
-def test_restrict_identity_and_unit():
-    e1, e2 = Alphabet(["a", "b"]), Alphabet(["c", "d"])
-    p = product_alphabet([("e1", e1), ("e2", e2)])
-    sym = p.symbol("(b,c)")
-    assert p.restrict_to(p, sym) == sym
-    unit = unit_alphabet()
-    assert p.restrict_to(unit, sym) == 0
-    assert len(unit) == 1
-
-
-def test_restrict_reorders_by_target_keys():
-    e1, e2, e3 = Alphabet(["a", "b"]), Alphabet(["c", "d"]), Alphabet(["e", "f"])
-    p = product_alphabet([("1", e1), ("2", e2), ("3", e3)])
-    sub = product_alphabet([("3", e3), ("1", e1)])
-    sym = p.encode((1, 0, 1))  # (b, c, f)
-    assert sub.digits(p.restrict_to(sub, sym)) == (1, 1)  # (f, b)
-
-
 def test_large_product_is_not_materialized():
     factors = [(k, Alphabet(["s%d" % j for j in range(5)])) for k in range(20)]
     p = product_alphabet(factors)
@@ -72,9 +51,3 @@ def test_large_product_is_not_materialized():
     sym = p.encode((4,) * 20)
     assert p.digits(sym) == (4,) * 20
 
-
-def test_word_helpers():
-    a = Alphabet(["p", "q"])
-    w = word_from_names(a, ["q", "p", "q"])
-    assert w == (1, 0, 1)
-    assert word_names(a, w) == ["q", "p", "q"]

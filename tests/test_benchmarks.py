@@ -12,13 +12,24 @@ from mmnlearn.benchmarks import (
     rand_mmn,
     shipped_specs,
 )
-from mmnlearn.machine import reachable
-from mmnlearn.network import InducedMoore, validate
+from mmnlearn.network import InducedMoore
+
+
+def reachable(machine):
+    """States of a deterministic machine reachable from its initial state."""
+    seen = {machine.initial}
+    frontier = [machine.initial]
+    while frontier:
+        for t in machine.transitions[frontier.pop()].values():
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return seen
 
 
 def test_mmn_ex_structure():
     m = mmn_ex()
-    assert validate(m) == []
+    assert m.diagnostics() == []
     assert m.machines["c1"].n_states == 2
     assert m.machines["c2"].n_states == 4
     assert m.system_inputs.names() == ["(a,c)", "(a,d)", "(b,c)", "(b,d)"]
@@ -26,7 +37,7 @@ def test_mmn_ex_structure():
 
 def test_counter_with_init_redundancy():
     m = counter_with_init()
-    assert validate(m) == []
+    assert m.diagnostics() == []
     # in isolation the error half is reachable
     assert len(reachable(m.machines["c2"])) == 7
     # composed, no reachable configuration has c2 in an error state
@@ -47,7 +58,7 @@ def test_counter_with_init_redundancy():
 def test_binary_counter_structure():
     for k in (1, 2, 5):
         m = binary_counter(k)
-        assert validate(m) == []
+        assert m.diagnostics() == []
         assert len(m.components) == k
         assert all(mc.n_states == 3 for mc in m.machines.values())
         assert all(mc.is_complete for mc in m.machines.values())
@@ -87,7 +98,7 @@ def test_binary_counter_counts_spaced_ones():
 
 def test_mqtt_structure():
     m = mqtt_lighting()
-    assert validate(m) == []
+    assert m.diagnostics() == []
     assert m.machines["s1"].n_states == 6
     assert m.machines["s2"].n_states == 7
     assert m.machines["l"].n_states == 4
@@ -122,7 +133,7 @@ def test_mqtt_qos2_forward_only_after_pubrel():
 def test_rand_lean_structure_and_determinism():
     a = rand_mmn("star", 3, "lean", seed=11)
     b = rand_mmn("star", 3, "lean", seed=11)
-    assert validate(a) == []
+    assert a.diagnostics() == []
     assert [a.machines[c].n_states for c in a.components] == [
         b.machines[c].n_states for c in b.components
     ]
@@ -139,7 +150,7 @@ def test_rand_lean_structure_and_determinism():
 def test_rand_topologies():
     for topo, k, comps in (("path", 4, 4), ("star", 3, 4), ("compl", 3, 3)):
         m = rand_mmn(topo, k, "lean", seed=2, mean=3.0)
-        assert validate(m) == []
+        assert m.diagnostics() == []
         assert len(m.components) == comps
 
 
@@ -147,7 +158,7 @@ def test_rand_rich_no_bullet_reachable():
     """No second-half character is ever emitted on any edge of the composite."""
     for seed in range(3):
         m = rand_mmn("path", 3, "rich", seed=seed, mean=4.0)
-        assert validate(m) == []
+        assert m.diagnostics() == []
         rng = random.Random(seed)
         for _ in range(40):
             word = tuple(rng.randrange(len(m.system_inputs)) for _ in range(15))
@@ -188,4 +199,4 @@ def test_generated_suls_validate():
     rng = random.Random(0)
     for spec in ["mmn_ex", "counter_init", "binctr:4", "mqtt",
                  "rand:star2:lean:seed=4", "rand:compl2:rich:seed=4"]:
-        assert validate(from_spec(spec)) == [], spec
+        assert from_spec(spec).diagnostics() == [], spec

@@ -131,6 +131,10 @@ def test_format_count_matches_table_style():
     assert format_count(18_000_000) == "18M"
     assert format_count(46.9) == "46.9"
     assert format_count(2.0) == "2"
+    # the unit is picked after rounding
+    assert format_count(9_999) == "10K"
+    assert format_count(999_600) == "1.0M"
+    assert format_count(999_999) == "1.0M"
 
 
 def test_report_formats():

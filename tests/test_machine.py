@@ -10,15 +10,12 @@ from mmnlearn.machine import (
     Counterexample,
     DetMoore,
     EQUIVALENT,
+    NondetMoore,
     equivalent,
-    det_run,
     identity_partition,
-    nd_semantics,
     partition_eq_k,
     partition_uni,
     quotient,
-    reachable,
-    wrap_nondet,
 )
 
 
@@ -38,23 +35,38 @@ def out_names(machine, syms):
     return [machine.output_alphabet.name(s) for s in syms]
 
 
+# -- references for the set-valued side ------------------------------------------
+
+
+def wrap_nondet(machine):
+    """Singleton embedding of a deterministic machine."""
+    return NondetMoore(
+        machine.input_alphabet,
+        machine.output_alphabet,
+        machine.n_states,
+        frozenset((machine.initial,)),
+        tuple({i: frozenset((t,)) for i, t in row.items()} for row in machine.transitions),
+        tuple(frozenset((o,)) for o in machine.outputs),
+    )
+
+
+def nd_semantics(machine, states, word):
+    """Output sets along ``word`` from ``states``, length ``len(word) + 1``;
+    empty once stuck."""
+    cur = frozenset(states)
+    out = [frozenset(o for q in cur for o in machine.outputs[q])]
+    for i in word:
+        cur = frozenset(t for q in cur for t in machine.transitions[q].get(i, ()))
+        out.append(frozenset(o for q in cur for o in machine.outputs[q]))
+    return out
+
+
+def refines(finer, coarser):
+    """Every block of ``finer`` lies inside one block of ``coarser``."""
+    return all(len({coarser.block_of[q] for q in b}) == 1 for b in finer.blocks)
+
+
 # -- runs and semantics -------------------------------------------------------
-
-
-def test_det_run_example_machine():
-    m = fig_c1()
-    assert det_run(m, 0, w(m, "(a,3)")) == 1
-    assert det_run(m, 0, ()) == 0
-    m2 = fig_c2()
-    # the (z,4) state has no outgoing transitions at all
-    assert det_run(m2, 2, w(m2, "(c,1)")) is None
-    assert det_run(m2, 2, ()) == 2
-
-
-def test_det_run_rejects_foreign_symbols():
-    m = fig_c1()
-    with pytest.raises(AlphabetError):
-        det_run(m, 0, (99,))
 
 
 def test_foreign_symbol_rejected_anywhere_in_word():
@@ -66,8 +78,6 @@ def test_foreign_symbol_rejected_anywhere_in_word():
             foreign = word[:pos] + (bad,) + word[pos:]
             with pytest.raises(AlphabetError):
                 m2.semantics(foreign)
-            with pytest.raises(AlphabetError):
-                m2.run(m2.initial, foreign)
 
 
 def test_semantics_examples():
@@ -95,58 +105,6 @@ def test_semantics_length_invariant():
         assert len(out) == 1 + defined
         if m.is_complete:
             assert len(out) == len(word) + 1
-
-
-# -- nondeterministic ---------------------------------------------------------
-
-
-def test_nd_semantics_empty_start():
-    nm = wrap_nondet(fig_c2())
-    res = nd_semantics(nm, (), w(fig_c2(), "(c,1)"))
-    assert res == [frozenset(), frozenset()]
-
-
-def test_nd_semantics_wraps_determinism():
-    m = fig_c2()
-    nm = wrap_nondet(m)
-    word = w(m, "(c,2)", "(c,1)", "(c,1)")
-    det = m.semantics(word)
-    nd = nd_semantics(nm, {m.initial}, word)
-    assert len(nd) == len(word) + 1
-    for j, outs in enumerate(nd):
-        if j < len(det):
-            assert outs == frozenset((det[j],))
-        else:
-            assert outs == frozenset()
-
-
-def test_nd_semantics_uni_quotient_example():
-    m = fig_c2()
-    q = quotient(m, partition_uni(m))
-    word = w(m, "(c,1)")
-    res = nd_semantics(q, q.initials, word)
-    allout = frozenset(
-        m.output_alphabet.symbol(n) for n in ["(z,3)", "(w,3)", "(z,4)", "(w,4)"]
-    )
-    assert res == [allout, allout]
-
-
-# -- reachability -------------------------------------------------------------
-
-
-def test_reachable_depth_zero():
-    m = fig_c2()
-    assert reachable(m, depth=0) == {0}
-
-
-def test_reachable_all_states():
-    assert reachable(fig_c2()) == {0, 1, 2, 3}
-
-
-def test_reachable_depth_bound():
-    m = fig_c2()
-    assert reachable(m, depth=1) == {0, 1}
-    assert reachable(m, depth=2) == {0, 1, 2, 3}
 
 
 # -- partitions and quotients --------------------------------------------------
@@ -182,8 +140,8 @@ def test_partition_refinement_chain():
         m = random_machine(rng, partial=True)
         parts = [partition_eq_k(m, k) for k in range(4)] + [partition_eq_k(m, None)]
         for finer, coarser in zip(parts[1:], parts):
-            assert finer.refines(coarser)
-        assert all(partition_eq_k(m, k).refines(partition_uni(m)) for k in range(3))
+            assert refines(finer, coarser)
+        assert all(refines(partition_eq_k(m, k), partition_uni(m)) for k in range(3))
 
 
 def test_partition_eqk_partiality_matters():

@@ -1,4 +1,3 @@
-import io
 import random
 
 import pytest
@@ -33,7 +32,6 @@ def test_oq_binary_counter():
     out = s.oq(w(s.system_inputs, "(1)", "(0)", "(0)"))
     assert [s.system_outputs.name(x) for x in out] == ["(0,0)", "(1,0)", "(1,0)", "(1,0)"]
     assert s.stats.oq_resets == 1 and s.stats.oq_steps == 3
-    assert s.stats.system_oq_steps == 3 and s.stats.component_oq_steps == 0
 
 
 def test_oq_example_system():
@@ -48,6 +46,8 @@ def test_oq_rejects_foreign_character():
         s.oq((999,))
     with pytest.raises(AlphabetError):
         s.oq_bar((-1,))
+    with pytest.raises(AlphabetError):
+        s.oq_c("c1", (99,))
     assert s.stats.snapshot() == QueryStats().snapshot()  # nothing charged
 
 
@@ -57,8 +57,7 @@ def test_oq_c_examples():
     oa = s.component_output_alphabet("c1")
     out = s.oq_c("c1", w(ia, "(a,3)"))
     assert [oa.name(x) for x in out] == ["(x,1)", "(y,2)"]
-    assert s.stats.component_oq_resets == 1
-    assert s.stats.per_component["c1"] == [1, 1]
+    assert s.stats.oq_resets == 1 and s.stats.oq_steps == 1
 
     s2 = sul_for(binary_counter(5))
     ia1 = s2.component_input_alphabet("c1")
@@ -85,9 +84,9 @@ def test_oq_bar_examples():
     oc2 = s2.component_output_alphabet("c2")
     got = [(oc1.name(a), oc2.name(b)) for a, b in trace]
     assert got == [("(x,1)", "(z,3)"), ("(y,2)", "(z,3)")]
-    # |V^c| resets, |V^c| * |w| steps, at component level
-    assert s2.stats.component_oq_resets == 2
-    assert s2.stats.component_oq_steps == 2
+    # |V^c| resets, |V^c| * |w| steps
+    assert s2.stats.oq_resets == 2
+    assert s2.stats.oq_steps == 2
 
 
 def test_oq_bar_agrees_with_oq_projection():
@@ -242,16 +241,4 @@ def test_stats_conservation():
     assert s.stats.oq_steps == sum(len(w_) for w_ in words) + 2
     assert s.stats.eq_resets == 5
     assert s.stats.eq_steps == 5 * 7
-    assert s.stats.oq_resets == s.stats.system_oq_resets + s.stats.component_oq_resets
 
-
-def test_query_log_lines():
-    log = io.StringIO()
-    s = Sul(binary_counter(2), EqTestConfig(2, 3, 0), query_log=log)
-    s.oq((0,))
-    s.oq_c("c1", (1,))
-    s.eq(s._mmn.materialize())
-    lines = log.getvalue().strip().splitlines()
-    assert lines[0].split() == ["oq", "system", "1", "2"]
-    assert lines[1].split() == ["oq", "c1", "1", "2"]
-    assert lines[2].split()[0] == "eq"
