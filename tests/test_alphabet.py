@@ -44,6 +44,47 @@ def test_nested_product_names():
     assert outer.symbol(name) == outer.encode((2, 0))
 
 
+def test_check_word_rejects_foreign_symbols():
+    a = Alphabet(["x", "y"])
+    a.check_word(())
+    a.check_word((0, 1, 1))
+    for bad in ((2,), (0, -1), (1, 0, 5)):
+        with pytest.raises(AlphabetError):
+            a.check_word(bad)
+    p = product_alphabet([("e1", Alphabet(["a", "b"])), ("e2", Alphabet(["c", "d", "e"]))])
+    p.check_word((5, 0))
+    with pytest.raises(AlphabetError):
+        p.check_word((6,))
+
+
+def test_product_rejects_empty_and_duplicate_keys():
+    a = Alphabet(["a"])
+    with pytest.raises(AlphabetError):
+        product_alphabet([])
+    with pytest.raises(AlphabetError):
+        product_alphabet([("k", a), ("k", a)])
+
+
+def test_product_rejects_malformed_symbols():
+    p = product_alphabet([("e1", Alphabet(["a", "b"])), ("e2", Alphabet(["c", "d", "e"]))])
+    for bad in ("b,c", "(b)", "(b,c,c)", "(b,q)", "(q,c)"):
+        with pytest.raises(AlphabetError):
+            p.symbol(bad)
+    for digits in ((0,), (2, 0), (0, 3)):
+        with pytest.raises(AlphabetError):
+            p.encode(digits)
+    for sym in (-1, 6):
+        with pytest.raises(AlphabetError):
+            p.name(sym)
+
+
+def test_digit_and_key_pos_read_one_factor():
+    p = product_alphabet([("e1", Alphabet(["a", "b"])), ("e2", Alphabet(["c", "d", "e"]))])
+    assert (p.key_pos("e1"), p.key_pos("e2")) == (0, 1)
+    for sym in p:
+        assert tuple(p.digit(sym, pos) for pos in range(2)) == p.digits(sym)
+
+
 def test_large_product_is_not_materialized():
     factors = [(k, Alphabet(["s%d" % j for j in range(5)])) for k in range(20)]
     p = product_alphabet(factors)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,9 @@ from mmnlearn.machine import (
     Counterexample,
     DetMoore,
     EQUIVALENT,
+    MooreError,
     NondetMoore,
+    StatePartition,
     equivalent,
     identity_partition,
     partition_eq_k,
@@ -78,6 +81,57 @@ def test_foreign_symbol_rejected_anywhere_in_word():
             foreign = word[:pos] + (bad,) + word[pos:]
             with pytest.raises(AlphabetError):
                 m2.semantics(foreign)
+
+
+def test_semantics_from_given_state():
+    m = fig_c1()
+    a3 = w(m, "(a,3)")
+    assert m.step(0, a3[0]) == 1
+    assert m.semantics(a3, q=0) == (m.outputs[0], m.outputs[1])
+    m2 = fig_c2()
+    # the (z,4) state has no outgoing transitions at all
+    assert m2.transitions[2] == {}
+    assert m2.step(2, w(m2, "(c,1)")[0]) is None
+    assert out_names(m2, m2.semantics(w(m2, "(c,1)"), q=2)) == ["(z,4)"]
+    assert m2.semantics((), q=2) == (m2.outputs[2],)
+
+
+def test_step_rejects_foreign_symbols():
+    m = fig_c1()
+    for bad in (-1, len(m.input_alphabet), 99):
+        with pytest.raises(AlphabetError):
+            m.step(0, bad)
+
+
+def test_detmoore_rejects_malformed_tables():
+    ok = dict(
+        input_alphabet=Alphabet(["i"]),
+        output_alphabet=Alphabet(["x"]),
+        n_states=2,
+        initial=0,
+        transitions=({0: 1}, {}),
+        outputs=(0, 0),
+    )
+    DetMoore(**ok)
+    for bad in (
+        dict(initial=2),
+        dict(initial=-1),
+        dict(transitions=({0: 1},)),
+        dict(outputs=(0,)),
+        dict(transitions=({1: 1}, {})),  # input outside the alphabet
+        dict(transitions=({0: 2}, {})),  # target outside the states
+        dict(outputs=(0, 1)),  # output outside the alphabet
+    ):
+        with pytest.raises(MooreError):
+            DetMoore(**{**ok, **bad})
+
+
+def test_nondetmoore_rejects_malformed_tables():
+    nm = wrap_nondet(fig_c2())
+    with pytest.raises(MooreError):
+        replace(nm, initials=frozenset((nm.n_states,)))
+    with pytest.raises(MooreError):
+        replace(nm, outputs=(frozenset(),) + nm.outputs[1:])
 
 
 def test_semantics_examples():
@@ -171,6 +225,42 @@ def test_quotient_uni_example():
     )
 
 
+def test_quotient_uni_semantics_example():
+    m = fig_c2()
+    q = quotient(m, partition_uni(m))
+    allout = frozenset(
+        m.output_alphabet.symbol(n) for n in ["(z,3)", "(w,3)", "(z,4)", "(w,4)"]
+    )
+    assert nd_semantics(q, q.initials, w(m, "(c,1)")) == [allout, allout]
+
+
+def test_quotient_unions_moves_of_merged_states():
+    ia, oa = Alphabet(["i", "j"]), Alphabet(["x", "y"])
+    # state 2 has no i-move; states 1 and 2 share output y
+    m = DetMoore(ia, oa, 3, 0, ({0: 1}, {0: 2, 1: 0}, {1: 2}), (0, 1, 1))
+    part = partition_eq_k(m, 0)
+    assert part.blocks == ((0,), (1, 2))
+    q = quotient(m, part)
+    assert q.initials == frozenset((0,))
+    assert q.outputs == (frozenset((0,)), frozenset((1,)))
+    assert q.transitions == (
+        {0: frozenset((1,))},
+        {0: frozenset((1,)), 1: frozenset((0, 1))},
+    )
+
+
+def test_quotient_rejects_partition_of_other_machine():
+    with pytest.raises(MooreError):
+        quotient(fig_c2(), identity_partition(fig_c1()))
+
+
+def test_partition_blocks_numbered_by_smallest_member():
+    p = StatePartition.from_block_of(5, [7, 3, 7, 9, 3])
+    assert p.blocks == ((0, 2), (1, 4), (3,))
+    assert p.block_of == (0, 1, 0, 2, 1)
+    assert p.n_blocks() == 3
+
+
 def test_quotient_overapproximates():
     rng = random.Random(23)
     for _ in range(40):
@@ -254,6 +344,25 @@ def test_equivalent_trivial_output_difference():
     m2 = DetMoore(ia, Alphabet(["x", "y"]), 1, 0, ({0: 0},), (1,))
     res = equivalent(m1, m2)
     assert res == Counterexample(())
+
+
+def test_equivalent_rejects_alphabet_mismatch():
+    x = Alphabet(["x"])
+    m = DetMoore(Alphabet(["i"]), x, 1, 0, ({0: 0},), (0,))
+    wider = DetMoore(Alphabet(["i", "j"]), x, 1, 0, ({},), (0,))
+    renamed = DetMoore(Alphabet(["i"]), Alphabet(["y"]), 1, 0, ({0: 0},), (0,))
+    for other in (wider, renamed):
+        with pytest.raises(MooreError):
+            equivalent(m, other)
+
+
+def test_equivalent_ignores_unreachable_states():
+    ia, oa = Alphabet(["i"]), Alphabet(["x", "y"])
+    small = DetMoore(ia, oa, 1, 0, ({0: 0},), (0,))
+    # states 1 and 2 differ from everything in ``small`` but are unreachable
+    big = DetMoore(ia, oa, 3, 0, ({0: 0}, {0: 2}, {}), (0, 1, 1))
+    assert equivalent(small, big) is EQUIVALENT
+    assert equivalent(small, replace(big, initial=1)) == Counterexample(())
 
 
 def test_equivalent_counterexample_replays():

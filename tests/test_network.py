@@ -5,7 +5,7 @@ import pytest
 
 import mmnlearn
 from mmnlearn.alphabet import Alphabet, AlphabetError
-from mmnlearn.benchmarks import binary_counter, mmn_ex, rand_mmn
+from mmnlearn.benchmarks import binary_counter, counter_with_init, mmn_ex, rand_mmn
 from mmnlearn.machine import (
     DetMoore,
     identity_partition,
@@ -296,6 +296,34 @@ def test_quotient_mmn_eq0_equals_identity_on_distinct_outputs():
     m = mmn_ex()
     q = m.quotient_mmn({c: partition_eq_k(m.machines[c], 0) for c in m.components})
     assert all(q[c].n_states == m.machines[c].n_states for c in m.components)
+
+
+def test_induced_step_rejects_foreign_symbol():
+    ind = InducedMoore(mmn_ex())
+    for i in ind.input_alphabet:  # fill the memo row of the initial state
+        ind.step(0, i)
+    for bad in (-1, len(ind.input_alphabet), 99):
+        with pytest.raises(AlphabetError):
+            ind.step(0, bad)
+
+
+def test_induced_explores_reachable_configurations_only():
+    m = counter_with_init()
+    ind = InducedMoore(m)
+    assert ind.n_explored() == 1
+    assert ind.configuration(0) == m.initial_configuration()
+    seen, frontier = {0}, [0]
+    while frontier:
+        q = frontier.pop()
+        for i in ind.input_alphabet:
+            t = ind.step(q, i)
+            if t is not None and t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    assert ind.n_explored() == len(seen) == m.materialize().n_states
+    # c2's error half is never part of a reachable configuration
+    assert {ind.configuration(q)[1] for q in seen} == {0, 1, 2}
+    assert m.machines["c2"].n_states == 7
 
 
 def test_configuration_count_bound():

@@ -242,3 +242,23 @@ def test_stats_conservation():
     assert s.stats.eq_resets == 5
     assert s.stats.eq_steps == 5 * 7
 
+
+def test_stats_snapshot_is_the_five_totals():
+    s = sul_for(binary_counter(2), seed=1, words=5, length=7)
+    s.oq((0, 1))
+    s.oq_c("c1", (0,))
+    s.eq(s._mmn.materialize())
+    assert s.stats.snapshot() == {
+        "oq_resets": 2,
+        "oq_steps": 3,
+        "eq_count": 1,
+        "eq_resets": 5,
+        "eq_steps": 35,
+    }
+
+
+def test_exact_eq_charges_one_eq_and_no_words():
+    s = sul_for(binary_counter(2))
+    assert s.exact_eq(s._mmn.materialize()) is True
+    assert s.exact_eq_c("c1", s._mmn.machines["c1"]) is True
+    assert s.stats.snapshot() == {**QueryStats().snapshot(), "eq_count": 2}
