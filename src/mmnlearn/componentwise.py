@@ -97,7 +97,6 @@ class CaParams:
 class LearnedSystem:
     """Result of a learning run; query counts live in the SUL's ``stats``."""
 
-    algorithm: str
     mmn: Optional[Mmn] = None  # componentwise results
     machine: Optional[DetMoore] = None  # monolithic result
     max_cex_length: int = 0
@@ -116,7 +115,7 @@ def mnl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None,
         memoize=memoize, deadline=deadline,
     )
     return LearnedSystem(
-        "mnl", machine=res.machine, max_cex_length=res.max_cex_length,
+        machine=res.machine, max_cex_length=res.max_cex_length,
         n_states=res.machine.n_states,
         n_transitions=res.machine.n_transitions(),
     )
@@ -140,7 +139,7 @@ def cwl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None,
         max_cex = max(max_cex, res.max_cex_length)
     mmn = Mmn(sul.network, machines, check=False)
     return LearnedSystem(
-        "cwl", mmn=mmn, max_cex_length=max_cex,
+        mmn=mmn, max_cex_length=max_cex,
         n_states=sum(m.n_states for m in machines.values()),
         n_transitions=sum(m.n_transitions() for m in machines.values()),
     )
@@ -456,7 +455,7 @@ def ccwl(
             if event_log is not None:
                 event_log.append("eq yes after %d queries" % eq_calls)
             return LearnedSystem(
-                "ccwl", mmn=hypothesis, max_cex_length=max_cex,
+                mmn=hypothesis, max_cex_length=max_cex,
                 n_states=sum(m.n_states for m in hypothesis.machines.values()),
                 n_transitions=sum(
                     m.n_transitions() for m in hypothesis.machines.values()

@@ -129,7 +129,6 @@ def analyze_cex(
 class LstarResult:
     machine: DetMoore
     table: ObservationTable
-    eq_calls: int
     max_cex_length: int
 
 
@@ -144,7 +143,6 @@ def lstar(
     """Learn a Moore machine from output and equivalence oracles."""
     cache = OqCache(oq, enabled=memoize)
     table = ObservationTable(input_alphabet, output_alphabet, cache.last)
-    eq_calls = 0
     max_cex = 0
     while True:
         if deadline is not None and time.monotonic() > deadline:
@@ -158,9 +156,8 @@ def lstar(
                 table.add_extension(s + (i,))
             continue
         hypothesis = table.hypothesis()
-        eq_calls += 1
         verdict = eq(hypothesis)
         if verdict is True:
-            return LstarResult(hypothesis, table, eq_calls, max_cex)
+            return LstarResult(hypothesis, table, max_cex)
         max_cex = max(max_cex, len(verdict.word))
         analyze_cex(hypothesis, verdict.word, cache, table)

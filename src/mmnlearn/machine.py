@@ -240,14 +240,20 @@ def _same_alphabet(a: Alphabet, b: Alphabet) -> bool:
 def equivalent(m1, m2):
     """Exact equivalence of two deterministic machines (lazy ones included).
 
-    BFS over the synchronous product of the reachable parts, expanding in
-    (discovery, input symbol id) order; returns EQUIVALENT or the shortest
-    difference witness.  A defined-length mismatch counts as a difference.
+    Returns EQUIVALENT or the shortest difference witness.  A defined-length
+    mismatch counts as a difference.  Two passes: ``_agree`` decides in
+    near-linear work, stepping each machine at most (|Q1| + |Q2|) * |I|
+    times, where the product BFS visits every reachable state pair.  Its
+    merges do not follow BFS order, so only when it finds a difference does
+    the BFS run, expanding in (discovery, input symbol id) order, to build
+    the shortest witness.
     """
     if not _same_alphabet(m1.input_alphabet, m2.input_alphabet):
         raise MooreError("input alphabet mismatch")
     if not _same_alphabet(m1.output_alphabet, m2.output_alphabet):
         raise MooreError("output alphabet mismatch")
+    if _agree(m1, m2):
+        return EQUIVALENT
     start = (m1.initial, m2.initial)
     # Per discovered pair, the pair and input it was first reached from; the
     # witness is rebuilt only once a difference shows.
@@ -270,6 +276,48 @@ def equivalent(m1, m2):
                 parent[key] = (pair, i)
                 queue.append(key)
     return EQUIVALENT
+
+
+def _agree(m1, m2) -> bool:
+    """Hopcroft and Karp's union-find equivalence test (Cornell TR 71-114).
+
+    States are keyed ``2q`` (``m1``) and ``2q + 1`` (``m2``) in one forest,
+    kept shallow by union by size.  Every merged pair is queued and its
+    outputs and moves compared, so the merged classes form a bisimulation up
+    to equivalence (Bonchi & Pous, POPL 2013) exactly when the machines agree.
+    Roots are found inline: a nested call per step costs more than the walk.
+    """
+    up = {2 * m1.initial: 2 * m2.initial + 1}  # non-root key -> parent key
+    size = {2 * m2.initial + 1: 2}  # root key -> class size, if above 1
+    inputs = tuple(m1.input_alphabet)
+    queue = deque(((m1.initial, m2.initial),))
+    while queue:
+        q1, q2 = queue.popleft()
+        if m1.output(q1) != m2.output(q2):
+            return False
+        for i in inputs:
+            t1 = m1.step(q1, i)
+            t2 = m2.step(q2, i)
+            if t1 is None or t2 is None:
+                if t1 is None and t2 is None:
+                    continue
+                return False
+            r1 = 2 * t1
+            while r1 in up:
+                r1 = up[r1]
+            r2 = 2 * t2 + 1
+            while r2 in up:
+                r2 = up[r2]
+            if r1 == r2:
+                continue
+            s1 = size.get(r1, 1)
+            s2 = size.get(r2, 1)
+            if s1 < s2:
+                r1, r2 = r2, r1
+            up[r2] = r1
+            size[r1] = s1 + s2
+            queue.append((t1, t2))
+    return True
 
 
 def _witness(parent: dict, pair) -> Word:

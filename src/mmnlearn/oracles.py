@@ -184,8 +184,9 @@ class Sul:
     # -- exact validation (not charged) ---------------------------------------
 
     def validate_exact(self, learned) -> "Counterexample | bool":
-        """Exact product-BFS equivalence between the learned system and the
-        SUL's induced machine.  Not charged to the query counters."""
+        """Exact equivalence (``machine.equivalent``) between the learned
+        system and the SUL's induced machine.  Not charged to the query
+        counters."""
         if isinstance(learned, Mmn):
             learned = InducedMoore(learned)
         return equivalent(learned, self._induced)

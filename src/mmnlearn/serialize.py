@@ -69,10 +69,21 @@ def machine_from_text(text: str, input_alphabet: Alphabet | None = None,
     for ln in it:
         parts = ln.split()
         if parts[0] == "state":
-            outputs[int(parts[1])] = oa.symbol(parts[2])
+            if len(parts) != 3:
+                raise FormatError("bad state line %r" % ln)
+            q = _state_id(parts[1], n_states)
+            if q in outputs:
+                raise FormatError("duplicate state line for state %d" % q)
+            outputs[q] = oa.symbol(parts[2])
         elif parts[0] == "trans":
-            src, dst = int(parts[1]), int(parts[3])
-            transitions[src][ia.symbol(parts[2])] = dst
+            if len(parts) != 4:
+                raise FormatError("bad trans line %r" % ln)
+            src = _state_id(parts[1], n_states)
+            dst = _state_id(parts[3], n_states)
+            i = ia.symbol(parts[2])
+            if i in transitions[src]:
+                raise FormatError("duplicate trans line %r" % ln)
+            transitions[src][i] = dst
         elif parts[0] == "end":
             break
         else:
@@ -83,6 +94,16 @@ def machine_from_text(text: str, input_alphabet: Alphabet | None = None,
         ia, oa, n_states, initial,
         tuple(transitions), tuple(outputs[q] for q in range(n_states)),
     )
+
+
+def _state_id(token: str, n_states: int) -> int:
+    try:
+        q = int(token)
+    except ValueError:
+        q = -1
+    if not 0 <= q < n_states:
+        raise FormatError("state id %r outside 0..%d" % (token, n_states - 1))
+    return q
 
 
 def _alphabet_line(line: str, kind: str) -> list[str]:

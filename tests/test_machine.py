@@ -1,4 +1,3 @@
-import itertools
 import random
 from dataclasses import replace
 
@@ -6,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmnlearn.alphabet import Alphabet, AlphabetError
-from mmnlearn.benchmarks import mmn_ex
+from mmnlearn.benchmarks import from_spec, mmn_ex
+from mmnlearn.componentwise import CaParams, ccwl
 from mmnlearn.machine import (
     Counterexample,
     DetMoore,
@@ -20,6 +20,8 @@ from mmnlearn.machine import (
     partition_uni,
     quotient,
 )
+from mmnlearn.network import InducedMoore
+from mmnlearn.oracles import EqTestConfig, Sul
 
 
 def fig_c1():
@@ -306,10 +308,28 @@ def brute_force_equivalent(m1, m2, max_len):
     while depth < max_len and total * n_in <= 200_000:
         total *= n_in
         depth += 1
-    for length in range(depth + 1):
-        for word in itertools.product(range(n_in), repeat=length):
-            if m1.semantics(word) != m2.semantics(word):
-                return Counterexample(word)
+    # Words level by level in lexicographic order, each with the states the
+    # machines reach on it (None once fallen off).  Every word of a level
+    # agrees before the next level starts, so an extension u+(i,) differs
+    # exactly when its last step does.
+    if m1.output(m1.initial) != m2.output(m2.initial):
+        return Counterexample(())
+    level = [((), m1.initial, m2.initial)]
+    for _ in range(depth):
+        nxt = []
+        for word, q1, q2 in level:
+            for i in range(n_in):
+                w = word + (i,)
+                if q1 is None:  # both fell off earlier
+                    nxt.append((w, None, None))
+                    continue
+                t1, t2 = m1.step(q1, i), m2.step(q2, i)
+                if (t1 is None) != (t2 is None) or (
+                    t1 is not None and m1.output(t1) != m2.output(t2)
+                ):
+                    return Counterexample(w)
+                nxt.append((w, t1, t2))
+        level = nxt
     return EQUIVALENT
 
 
@@ -407,6 +427,108 @@ def test_equivalent_agrees_with_brute_force():
         assert (res is True) == (ref is True)
         if ref is not True:
             assert len(res.word) == len(ref.word)  # BFS returns a shortest witness
+
+
+class StepBudget:
+    """The surface ``equivalent`` uses, failing once ``step`` is called more
+    than ``budget`` times.  A pass that never ends fails here too."""
+
+    def __init__(self, machine, budget):
+        self.input_alphabet = machine.input_alphabet
+        self.output_alphabet = machine.output_alphabet
+        self.initial = machine.initial
+        self.output = machine.output
+        self._step = machine.step
+        self.budget = budget
+
+    def step(self, q, i):
+        self.budget -= 1
+        assert self.budget >= 0, "step budget exceeded"
+        return self._step(q, i)
+
+
+def reachable_states(m):
+    """Reachable states in BFS discovery order."""
+    seen = {m.initial}
+    order = [m.initial]
+    for q in order:
+        for i in m.input_alphabet:
+            t = m.step(q, i)
+            if t is not None and t not in seen:
+                seen.add(t)
+                order.append(t)
+    return order
+
+
+def ring(n, ia, oa):
+    """n states in a ring with one output; input 0 moves one on, input 1 two."""
+    trans = tuple({0: (q + 1) % n, 1: (q + 2) % n} for q in range(n))
+    return DetMoore(ia, oa, n, 0, trans, (0,) * n)
+
+
+def test_equivalent_work_bound_coprime_rings():
+    ia, oa = Alphabet(["a", "b"]), Alphabet(["x"])
+    # All 30 * 31 state pairs are reachable: a product walk steps each side
+    # 1,860 times.
+    budget = (30 + 31) * 2
+    r30 = StepBudget(ring(30, ia, oa), budget)
+    r31 = StepBudget(ring(31, ia, oa), budget)
+    assert equivalent(r30, r31) is EQUIVALENT
+
+
+def test_equivalent_work_bound_learned_system():
+    # ccwl's model and the SUL's induced machine are both far from minimal;
+    # their reachable product has tens of thousands of pairs.
+    spec = "rand:compl4:lean:mean=5:seed=0"
+    model = ccwl(Sul(from_spec(spec), EqTestConfig()), CaParams()).mmn
+    learned, target = InducedMoore(model), InducedMoore(from_spec(spec))
+    n_configs = len(reachable_states(learned)) + len(reachable_states(target))
+    budget = n_configs * len(learned.input_alphabet)
+    res = equivalent(StepBudget(learned, budget), StepBudget(target, budget))
+    assert res is EQUIVALENT
+
+
+def unrolled(m, k):
+    """``m`` times a k-state counter that ticks on every move: equivalent to
+    ``m`` but k times its size.  State q*k + c is q at count c."""
+    trans = tuple(
+        {i: t * k + (c + 1) % k for i, t in m.transitions[q].items()}
+        for q in range(m.n_states)
+        for c in range(k)
+    )
+    outs = tuple(o for o in m.outputs for _ in range(k))
+    return DetMoore(
+        m.input_alphabet, m.output_alphabet, m.n_states * k, m.initial * k, trans, outs
+    )
+
+
+def test_equivalent_unrolled_copies_and_single_edits():
+    rng = random.Random(31)
+    oa = Alphabet(["o0", "o1"])
+    for _ in range(200):
+        m = random_machine(rng, partial=True, oa=oa)
+        copy = unrolled(m, rng.randint(2, 4))
+        budget = (m.n_states + copy.n_states) * len(m.input_alphabet)
+        for a, b in ((m, copy), (copy, m)):
+            res = equivalent(StepBudget(a, budget), StepBudget(b, budget))
+            assert res is EQUIVALENT
+        # One edit at a reachable state of the copy: drop a move or flip
+        # the output.  Either makes the machines differ.
+        q = rng.choice(reachable_states(copy))
+        row = copy.transitions[q]
+        if row and rng.random() < 0.5:
+            dropped = rng.choice(sorted(row))
+            trans = list(copy.transitions)
+            trans[q] = {i: t for i, t in row.items() if i != dropped}
+            edited = replace(copy, transitions=tuple(trans))
+        else:
+            outs = list(copy.outputs)
+            outs[q] = 1 - outs[q]
+            edited = replace(copy, outputs=tuple(outs))
+        for a, b in ((m, edited), (edited, m)):
+            res = equivalent(a, b)
+            assert res is not EQUIVALENT
+            assert res == path_bfs_equivalent(a, b)
 
 
 @settings(max_examples=40, deadline=None)

@@ -35,6 +35,42 @@ def test_machine_text_rejects_garbage():
         machine_from_text("not a machine\n")
 
 
+TWO_STATES = """moore
+states 2 initial 0
+input a b
+output x y
+state 0 x
+state 1 y
+trans 0 a 1
+trans 1 a 0
+%send
+"""
+
+
+def test_machine_text_two_state_base_parses():
+    m = machine_from_text(TWO_STATES % "")
+    assert m.outputs == (0, 1)
+    assert m.transitions == ({0: 1}, {0: 0})
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "state 1",  # too short
+        "trans 0 b",  # too short
+        "trans -1 b 0",  # source below range
+        "trans 5 b 0",  # source above range
+        "trans 0 b 2",  # target above range
+        "trans 0 b one",  # target not a number
+        "state 1 x",  # second output line for state 1
+        "trans 0 a 0",  # second move of state 0 on a
+    ],
+)
+def test_machine_text_rejects_bad_state_and_trans_lines(line):
+    with pytest.raises(FormatError):
+        machine_from_text(TWO_STATES % (line + "\n"))
+
+
 def test_mmn_text_roundtrip_bit_exact():
     for mmn in (mmn_ex(), counter_with_init(), binary_counter(3)):
         text = mmn_to_text(mmn)
