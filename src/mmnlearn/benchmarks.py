@@ -389,6 +389,8 @@ def _lean_machine(rng, ia_size, oa_size, mean) -> tuple[int, list[dict], list[in
 
 def _topology(topology: str, k: int) -> tuple[list, list[tuple[str, str]]]:
     """Nodes and raw (srcname, dstname) edges; alphabets attached later."""
+    if topology in ("path", "compl") and k < 1:
+        raise BenchmarkError("%s needs k >= 1" % topology)
     if topology == "path":
         comps = ["c%d" % (j + 1) for j in range(k)]
         nodes = [("in", NODE_INPUT)] + [(c, NODE_COMPONENT) for c in comps] + [("out", NODE_OUTPUT)]
@@ -553,6 +555,8 @@ def from_spec(spec: str) -> Mmn:
     """Build a benchmark from its canonical spec string."""
     parts = spec.split(":")
     kind = parts[0]
+    if len(parts) < {"binctr": 2, "rand": 3}.get(kind, 1):
+        raise BenchmarkError("spec %r lacks a field" % spec)
     if kind == "mmn_ex":
         return mmn_ex()
     if kind == "counter_init":

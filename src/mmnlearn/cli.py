@@ -32,6 +32,7 @@ from .harness import (
 )
 
 log = logging.getLogger("mmnlearn")
+_EXIT_CODES = {ERROR: 4, TIMEOUT: 3, INCORRECT: 2}
 
 
 def _setup_logging():
@@ -80,6 +81,11 @@ def _config_from_args(args) -> ExperimentConfig:
         memoize=not args.no_memoize,
         exact_eq=args.exact_eq,
     )
+
+
+def _exit_code(results) -> int:
+    """The exit code of the worst verdict: 4 error, 3 timeout, 2 incorrect."""
+    return max((_EXIT_CODES.get(r.validation, 0) for r in results), default=0)
 
 
 def main(argv=None) -> int:
@@ -133,13 +139,7 @@ def main(argv=None) -> int:
             if r.error.startswith(CaBlowupError.__name__):
                 print("rerun with a finer abstraction (eq, or eqk:<k> with a "
                       "larger k)", file=sys.stderr)
-        if errors:
-            return 4
-        if any(r.validation == TIMEOUT for r in results):
-            return 3
-        if cfg.validate and any(r.validation == INCORRECT for r in results):
-            return 2
-        return 0
+        return _exit_code(results)
 
     if args.command == "suite":
         cfgs = ci_profile() if args.preset == "ci" else table1_profile()
@@ -149,10 +149,7 @@ def main(argv=None) -> int:
             log.info("running %s %s %s", cfg.benchmark, cfg.algorithm, cfg.ca_params)
             results = run_batch(cfg)
             chunks.append(report(results, args.format))
-            if any(r.validation == TIMEOUT for r in results):
-                code = max(code, 3)
-            if any(r.validation == ERROR for r in results):
-                code = 4
+            code = max(code, _exit_code(results))
         text = "\n".join(chunks)
         if args.out:
             with open(args.out, "w") as fh:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .lstar import LearningTimeout, OqCache, analyze_cex, lstar
+from .lstar import LearningTimeout, OqCache, analyze_cex, lstar, table_oracle
 from .machine import (
     DetMoore,
     NondetMoore,
@@ -260,7 +260,7 @@ def _walk_deterministic(
 
     emitted: set[tuple[NodeId, Word, int]] = set()
     for k, c in enumerate(hypothesis.components):
-        access = tables[c].access_strings()
+        access = tables[c].S
         for q, known in enumerate(moves[k]):
             s = access[q]
             emitted.update((c, s, b + p) for b in known for p in sys_parts[k])
@@ -348,7 +348,7 @@ def _walk_quotient(
             {x + p for bases in known for x in bases for p in sys_parts[k]}
             for known in moves[k]
         ]
-        for q, s in enumerate(tables[c].access_strings()):
+        for q, s in enumerate(tables[c].S):
             emitted.update((c, s, i) for i in received[partitions[c].block_of[q]])
     return emitted
 
@@ -379,7 +379,7 @@ def analyze_cex_componentwise(
         for k, c in enumerate(comps):
             i_c = hypothesis.component_input(c, sys_in, outs)
             if hypothesis.machines[c].transitions[config[k]].get(i_c) is None:
-                s = tables[c].access_strings()[config[k]]
+                s = tables[c].S[config[k]]
                 tables[c].add_extension(s + (i_c,))
                 if event_log is not None:
                     event_log.append("cex missing-transition c=%s" % c)
@@ -415,7 +415,8 @@ def ccwl(
     eq=None,
     event_log: Optional[list[str]] = None,
 ) -> LearnedSystem:
-    """Contextual componentwise L* (component OQs + system-level EQs)."""
+    """Contextual componentwise L* (component OQs + system-level EQs);
+    ``memoize`` acts per component as in :func:`lstar`."""
     eq = eq or sul.eq
     caches: dict[NodeId, OqCache] = {}
     tables: dict[NodeId, ObservationTable] = {}
@@ -425,7 +426,7 @@ def ccwl(
         tables[c] = ObservationTable(
             sul.component_input_alphabet(c),
             sul.component_output_alphabet(c),
-            cache.last,
+            table_oracle(cache),
         )
     eq_calls = 0
     max_cex = 0

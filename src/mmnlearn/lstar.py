@@ -27,7 +27,8 @@ class OqCache:
     """Per-learner memo of last output characters, keyed by query word.
 
     Cache hits never reach the oracle, so repeat lookups do not inflate the
-    reset/step counters.  Disable to measure the raw query cost.
+    reset/step counters.  A disabled cache charges every lookup; tables
+    never get one (see :func:`table_oracle`).
     """
 
     oq: Callable[[Word], tuple]
@@ -44,10 +45,15 @@ class OqCache:
         return v
 
 
+def table_oracle(cache: OqCache) -> Callable[[Word], int]:
+    """A table's ``oq_last``: ``cache`` if enabled, else a private memo."""
+    return (cache if cache.enabled else OqCache(cache.oq)).last
+
+
 def one_ext_lstar(table: ObservationTable) -> list[tuple[Word, int]]:
     """Classic completion rule: every hypothesis access string times every
     input character."""
-    return [(s, i) for s in table.access_strings() for i in table.input_alphabet]
+    return [(s, i) for s in table.S for i in table.input_alphabet]
 
 
 def analyze_cex(
@@ -93,9 +99,6 @@ def analyze_cex(
         )
     w = word[:first_diff]
 
-    access = table.access_strings()
-    state_access = {q: s for q, s in enumerate(access)}
-
     path = [hypothesis.initial]
     for ch in w:
         nxt = hypothesis.step(path[-1], ch)
@@ -107,7 +110,7 @@ def analyze_cex(
     def probe(k: int) -> int:
         v = probes.get(k)
         if v is None:
-            v = cache.last(state_access[path[k]] + w[k:])
+            v = cache.last(table.S[path[k]] + w[k:])
             probes[k] = v
         return v
 
@@ -140,9 +143,14 @@ def lstar(
     memoize: bool = True,
     deadline: Optional[float] = None,
 ) -> LstarResult:
-    """Learn a Moore machine from output and equivalence oracles."""
+    """Learn a Moore machine from output and equivalence oracles.
+
+    With ``memoize`` one cache serves the table and the counterexample
+    analyzer, so no word is asked twice.  Without it the table still never
+    asks one word twice, but every analyzer probe is charged.
+    """
     cache = OqCache(oq, enabled=memoize)
-    table = ObservationTable(input_alphabet, output_alphabet, cache.last)
+    table = ObservationTable(input_alphabet, output_alphabet, table_oracle(cache))
     max_cex = 0
     while True:
         if deadline is not None and time.monotonic() > deadline:

@@ -196,13 +196,19 @@ class Sul:
     def exact_eq(self, hypothesis) -> "Counterexample | bool":
         """System-level EQ answered by exact equivalence checking.
 
-        Counts as one EQ (no resets/steps: no words are executed).  Useful
-        for regression runs where probabilistic EQs would add noise.
+        Counts as one EQ (no resets/steps: no words are executed) and, like
+        every oracle call, adds its time to ``oracle_seconds``.  Useful for
+        regression runs where probabilistic EQs would add noise.
         """
-        self.stats._eq()
-        return equivalent(hypothesis, self._induced)
+        return self._exact_eq(self._induced, hypothesis)
 
     def exact_eq_c(self, c: NodeId, hypothesis) -> "Counterexample | bool":
         """Component-level analogue of :meth:`exact_eq`."""
+        return self._exact_eq(self._mmn.machines[c], hypothesis)
+
+    def _exact_eq(self, target, hypothesis):
+        t0 = time.perf_counter()
         self.stats._eq()
-        return equivalent(hypothesis, self._mmn.machines[c])
+        result = equivalent(hypothesis, target)
+        self.oracle_seconds += time.perf_counter() - t0
+        return result

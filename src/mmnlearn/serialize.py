@@ -55,9 +55,11 @@ def machine_from_text(text: str, input_alphabet: Alphabet | None = None,
     if next(it, None) != "moore":
         raise FormatError("expected 'moore' header")
     head = next(it, "").split()
-    if len(head) != 4 or head[0] != "states" or head[2] != "initial":
+    if (len(head) != 4 or head[0] != "states" or head[2] != "initial"
+            or not head[1].isdecimal() or int(head[1]) < 1):
         raise FormatError("bad states line")
-    n_states, initial = int(head[1]), int(head[3])
+    n_states = int(head[1])
+    initial = _state_id(head[3], n_states)
     in_names = _alphabet_line(next(it, ""), "input")
     out_names = _alphabet_line(next(it, ""), "output")
     ia = input_alphabet if input_alphabet is not None else Alphabet(in_names)
@@ -130,17 +132,19 @@ def mmn_to_text(mmn: Mmn) -> str:
 
 def mmn_from_text(text: str) -> Mmn:
     lines = [ln for ln in (l.strip() for l in text.splitlines()) if ln]
-    if not lines or lines[0] != "mmn" or lines[1] != "network":
+    if lines[:2] != ["mmn", "network"]:
         raise FormatError("expected 'mmn'/'network' header")
     nodes: list[tuple[str, str]] = []
     edges: list[tuple[str, str, Alphabet]] = []
     k = 2
     while k < len(lines):
         parts = lines[k].split()
-        if parts[0] == "node":
+        if parts[0] == "node" and len(parts) == 3:
             nodes.append((parts[1], parts[2]))
-        elif parts[0] == "edge":
+        elif parts[0] == "edge" and len(parts) >= 4:
             edges.append((parts[1], parts[2], Alphabet(parts[3:])))
+        elif parts[0] in ("node", "edge"):
+            raise FormatError("bad %s line %r" % (parts[0], lines[k]))
         else:
             break
         k += 1

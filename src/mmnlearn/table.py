@@ -17,12 +17,13 @@ class SpuriousCounterexampleError(RuntimeError):
 
 
 class ObservationTable:
-    """The (S, R, E, T) structure.
+    """Rows of prefixes over suffixes: S (access strings, S[0] the empty
+    word), R (1-step extensions) and E (suffixes, E[0] the empty word).
 
-    S: prefixes (access strings), R: 1-step extensions, E: suffixes,
-    T: full entry map (S u R)·E -> output character.  Both S and E always
-    contain the empty word.  Entries hold the character observed *after*
-    feeding the whole word, i.e. the last character of the output trace.
+    The only storage is the row map S u R -> tuple over E; the cell of u and
+    e is the last output character of u·e.  Cells of different rows may
+    name the same word and each is asked of ``oq_last``, which should
+    therefore memoize.
     """
 
     def __init__(self, input_alphabet: Alphabet, output_alphabet: Alphabet,
@@ -32,47 +33,28 @@ class ObservationTable:
         self._oq_last = oq_last
         self.S: list[Word] = [()]
         self.R: list[Word] = []
-        self._members: set[Word] = {()}
         self.E: list[Word] = [()]
-        self.T: dict[Word, int] = {}
-        self._row_cache: dict[Word, tuple[int, ...]] = {}
+        self._rows: dict[Word, tuple[int, ...]] = {(): (oq_last(()),)}
         self._hypothesis: DetMoore | None = None  # valid until S, R or E change
-        self.fill(())
 
     def __contains__(self, word: Word) -> bool:
-        return word in self._members
-
-    def fill(self, prefix: Word) -> None:
-        """Query any missing entries in the row of ``prefix``."""
-        for e in self.E:
-            w = prefix + e
-            if w not in self.T:
-                self.T[w] = self._oq_last(w)
-        self._row_cache.pop(prefix, None)
+        return word in self._rows
 
     def row(self, prefix: Word) -> tuple[int, ...]:
-        r = self._row_cache.get(prefix)
-        if r is None:
-            r = tuple(self.T[prefix + e] for e in self.E)
-            self._row_cache[prefix] = r
-        return r
+        return self._rows[prefix]
 
     def add_extension(self, prefix: Word) -> None:
-        assert prefix not in self._members
+        assert prefix not in self._rows
         self.R.append(prefix)
-        self._members.add(prefix)
         self._hypothesis = None
-        self.fill(prefix)
+        self._rows[prefix] = tuple(self._oq_last(prefix + e) for e in self.E)
 
     def add_suffix(self, suffix: Word) -> None:
         assert suffix not in self.E
         self.E.append(suffix)
-        self._row_cache.clear()
         self._hypothesis = None
-        for u in self.S:
-            self.fill(u)
-        for u in self.R:
-            self.fill(u)
+        for u in self.S + self.R:
+            self._rows[u] += (self._oq_last(u + suffix),)
 
     def close(self) -> None:
         """Move unmatched rows from R to S until closed.
@@ -80,10 +62,11 @@ class ObservationTable:
         One scan of R in insertion order suffices: S only grows, so a row
         matched once stays matched.
         """
-        s_rows = {self.row(s) for s in self.S}
+        rows = self._rows
+        s_rows = {rows[s] for s in self.S}
         matched = []
         for r in self.R:
-            row = self.row(r)
+            row = rows[r]
             if row in s_rows:
                 matched.append(r)
             else:
@@ -105,28 +88,24 @@ class ObservationTable:
         return self._hypothesis
 
     def _build_hypothesis(self) -> DetMoore:
+        rows = self._rows
         state_of: dict[tuple[int, ...], int] = {}
-        access: list[Word] = []
         for s in self.S:
-            r = self.row(s)
+            r = rows[s]
             assert r not in state_of, "S rows must stay pairwise distinct"
-            state_of[r] = len(access)
-            access.append(s)
-        transitions: list[dict[int, int]] = [dict() for _ in access]
-        for q, s in enumerate(access):
+            state_of[r] = len(state_of)
+        transitions: list[dict[int, int]] = [dict() for _ in self.S]
+        for q, s in enumerate(self.S):
             for i in self.input_alphabet:
-                si = s + (i,)
-                if si in self._members:
-                    transitions[q][i] = state_of[self.row(si)]
-        outputs = tuple(self.T[s] for s in access)
+                r = rows.get(s + (i,))
+                if r is not None:
+                    transitions[q][i] = state_of[r]
+        outputs = tuple(rows[s][0] for s in self.S)
         return DetMoore(
             self.input_alphabet, self.output_alphabet,
-            len(access), state_of[self.row(())],
+            len(self.S), state_of[rows[()]],
             tuple(transitions), outputs,
         )
-
-    def access_strings(self) -> list[Word]:
-        return list(self.S)
 
     def dump(self) -> str:
         """Human-readable rows-by-columns dump for debugging/golden tests."""
@@ -136,6 +115,6 @@ class ObservationTable:
         for part, words in (("S", self.S), ("R", self.R)):
             for u in words:
                 label = "·".join(ia.name(x) for x in u) or "ε"
-                cells = [oa.name(self.T[u + e]) for e in self.E]
+                cells = [oa.name(c) for c in self._rows[u]]
                 lines.append("\t".join(["%s %s" % (part, label)] + cells))
         return "\n".join(lines) + "\n"

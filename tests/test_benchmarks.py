@@ -188,6 +188,14 @@ def test_from_spec_strings():
         from_spec("rand:ring3:lean")
 
 
+@pytest.mark.parametrize(
+    "spec", ["binctr", "rand:star3", "rand:path0:lean", "rand:compl0:lean"]
+)
+def test_from_spec_rejects_malformed_spec(spec):
+    with pytest.raises(BenchmarkError):
+        from_spec(spec)
+
+
 def test_shipped_specs_filter():
     all_specs = shipped_specs()
     assert "mqtt" in all_specs

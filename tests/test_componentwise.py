@@ -365,9 +365,9 @@ def test_analyze_cex_progress_across_eq_rounds():
         verdict = sul.eq(InducedMoore(hyp))
         if verdict is True:
             break
-        total = sum(len(t.S) + len(t.R) + len(t.T) for t in tables.values())
+        total = sum(len(t.S) + len(t.R) + len(t.E) for t in tables.values())
         analyze_cex_componentwise(hyp, verdict.word, sul, tables, caches)
-        total_after = sum(len(t.S) + len(t.R) + len(t.T) for t in tables.values())
+        total_after = sum(len(t.S) + len(t.R) + len(t.E) for t in tables.values())
         assert total_after > total
         sizes.append((total, total_after))
     assert sul.validate_exact(assemble(sul, tables)) is True

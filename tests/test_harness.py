@@ -2,13 +2,16 @@ import json
 
 import pytest
 
-from mmnlearn import harness
+from mmnlearn import cli, harness
 from mmnlearn.cli import main as cli_main
 from mmnlearn.componentwise import CaBlowupError, CaParams
 from mmnlearn.harness import (
     ERROR,
+    INCORRECT,
+    TIMEOUT,
     ConfigError,
     ExperimentConfig,
+    ExperimentResult,
     VALIDATED,
     format_count,
     report,
@@ -188,6 +191,18 @@ def test_thm_bound_check():
     assert thm_bound_check(mnl_res, constant=10.0)
 
 
+@pytest.mark.parametrize("spec, algorithm, ca, resets, steps", [
+    ("binctr:5", "mnl", None, 217, 6126),
+    ("binctr:5", "cwl", None, 47, 374),
+    ("mqtt", "ccwl", CaParams(), 289, 9368),
+])
+def test_no_memoize_counts(spec, algorithm, ca, resets, steps):
+    # Without the shared cache every analyzer probe is charged, but a table
+    # still never asks one word twice.
+    r = run_experiment(ExperimentConfig(spec, algorithm, ca, memoize=False))
+    assert (r.validation, r.oq_resets, r.oq_steps) == (VALIDATED, resets, steps)
+
+
 # -- CLI ------------------------------------------------------------------------
 
 
@@ -227,6 +242,28 @@ def test_cli_bench_export_roundtrip(tmp_path, capsys):
 
 def test_cli_bad_spec_exit_4(capsys):
     assert cli_main(["bench", "export", "bogus:9", "x.mmn"]) == 4
+
+
+def test_cli_learn_malformed_spec_is_config_error(capsys):
+    assert cli_main(["learn", "--bench", "binctr", "--algo", "mnl"]) == 4
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verdicts, code", [
+    ([VALIDATED], 0),
+    ([VALIDATED, INCORRECT], 2),
+    ([INCORRECT, TIMEOUT], 3),
+    ([TIMEOUT, ERROR, INCORRECT], 4),
+])
+def test_cli_suite_exit_code(monkeypatch, capsys, verdicts, code):
+    def stub_batch(cfg):
+        return [
+            ExperimentResult(cfg.benchmark, cfg.algorithm, "", seed, validation=v)
+            for seed, v in enumerate(verdicts)
+        ]
+
+    monkeypatch.setattr(cli, "run_batch", stub_batch)
+    assert cli_main(["suite", "--preset", "ci", "--format", "csv"]) == code
 
 
 def test_cli_timeout_exit_3(tmp_path, capsys):

@@ -56,7 +56,7 @@ def test_init_table_contains_epsilon():
     m = mmn_ex().machines["c1"]
     tbl, _, oracle = table_for(m)
     assert tbl.S == [()] and tbl.E == [()] and tbl.R == []
-    assert tbl.T[()] == m.outputs[m.initial]
+    assert tbl.row(()) == (m.outputs[m.initial],)
     assert oracle.oq_calls == 1
 
 
@@ -64,7 +64,7 @@ def test_init_table_constant_machine():
     ia, oa = Alphabet(["i"]), Alphabet(["k"])
     m = DetMoore(ia, oa, 1, 0, ({0: 0},), (0,))
     tbl, _, _ = table_for(m)
-    assert tbl.T[()] == 0
+    assert tbl.row(()) == (0,)
 
 
 def test_closedness_witness_order():
@@ -282,8 +282,40 @@ def test_hypothesis_agrees_with_table():
     h = res.machine
     assert h.is_complete
     for u in tbl.S + tbl.R:
-        for e in tbl.E:
-            assert h.semantics(u + e)[-1] == tbl.T[u + e]
+        for e, cell in zip(tbl.E, tbl.row(u), strict=True):
+            assert h.semantics(u + e)[-1] == cell
+
+
+def test_rows_match_oracle_after_every_operation():
+    rng = random.Random(8)
+    for _ in range(30):
+        m = random_machine(rng)
+        inputs = list(m.input_alphabet)
+        tbl = ObservationTable(
+            m.input_alphabet, m.output_alphabet, lambda w: m.semantics(w)[-1]
+        )
+        probes = [()] + [(i,) for i in inputs] + [
+            (i, j, k) for i in inputs for j in inputs for k in inputs
+        ]
+        for _ in range(25):
+            op = rng.choice(("extension", "suffix", "close"))
+            if op == "extension":
+                word = rng.choice(tbl.S + tbl.R) + (rng.choice(inputs),)
+                if word not in tbl:
+                    tbl.add_extension(word)
+            elif op == "suffix":
+                suffix = tuple(rng.choice(inputs) for _ in range(rng.randint(1, 3)))
+                if suffix not in tbl.E:
+                    tbl.add_suffix(suffix)
+            else:
+                tbl.close()
+            members = set(tbl.S + tbl.R)
+            assert len(members) == len(tbl.S) + len(tbl.R)
+            for u in members:
+                assert u in tbl
+                assert tbl.row(u) == tuple(m.semantics(u + e)[-1] for e in tbl.E)
+            for u in probes + [u + (i,) for u in members for i in inputs]:
+                assert (u in tbl) == (u in members)
 
 
 def test_table_dump_readable():

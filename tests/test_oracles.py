@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from mmnlearn import oracles
 from mmnlearn.alphabet import AlphabetError
 from mmnlearn.benchmarks import binary_counter, mmn_ex, rand_mmn
 from mmnlearn.machine import Counterexample, DetMoore
@@ -262,3 +264,17 @@ def test_exact_eq_charges_one_eq_and_no_words():
     assert s.exact_eq(s._mmn.materialize()) is True
     assert s.exact_eq_c("c1", s._mmn.machines["c1"]) is True
     assert s.stats.snapshot() == {**QueryStats().snapshot(), "eq_count": 2}
+
+
+def test_exact_eq_time_counts_as_oracle_time(monkeypatch):
+    real = oracles.equivalent
+
+    def slow_equivalent(m1, m2):
+        time.sleep(0.05)
+        return real(m1, m2)
+
+    monkeypatch.setattr(oracles, "equivalent", slow_equivalent)
+    s = sul_for(binary_counter(2))
+    assert s.exact_eq(s._mmn.materialize()) is True
+    assert s.exact_eq_c("c1", s._mmn.machines["c1"]) is True
+    assert s.oracle_seconds >= 0.1

@@ -71,6 +71,34 @@ def test_machine_text_rejects_bad_state_and_trans_lines(line):
         machine_from_text(TWO_STATES % (line + "\n"))
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        "states two initial 0",  # count not a number
+        "states 2 initial 5",  # initial state above range
+        "states -1 initial 0",  # negative count
+    ],
+)
+def test_machine_text_rejects_bad_states_line(header):
+    with pytest.raises(FormatError):
+        machine_from_text((TWO_STATES % "").replace("states 2 initial 0", header))
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (None, "mmn\n"),  # the whole text: header only
+        ("node c1 component", "node c1"),  # node line without its class
+        ("edge i1 c1 a b", "edge a"),  # edge line without target or alphabet
+    ],
+)
+def test_mmn_text_rejects_malformed_lines(old, new):
+    text = mmn_to_text(mmn_ex())
+    text = new if old is None else text.replace(old, new)
+    with pytest.raises(FormatError):
+        mmn_from_text(text)
+
+
 def test_mmn_text_roundtrip_bit_exact():
     for mmn in (mmn_ex(), counter_with_init(), binary_counter(3)):
         text = mmn_to_text(mmn)

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mmnlearn"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mmnlearn"
 
 
 def _annotations(tree):
@@ -66,3 +67,65 @@ def test_no_unused_imports_in_package():
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def defined_names(source):
+    """(name, line) of every function, method and class a module defines,
+    dunders left out, in source order."""
+    return sorted(
+        ((node.name, node.lineno)
+         for node in ast.walk(ast.parse(source))
+         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+         and not (node.name.startswith("__") and node.name.endswith("__"))),
+        key=lambda d: d[1],
+    )
+
+
+def referenced_names(source):
+    """Identifiers a module reads: names, attributes, imported names, and
+    string constants that are identifiers (``getattr``-style lookups)."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                refs.add(node.value)
+    return refs
+
+
+def test_dead_definitions_checker():
+    source = (
+        "class Used:\n"
+        "    def __init__(self): pass\n"
+        "    def method(self): return helper()\n"
+        "    def orphan(self): pass\n"
+        "def helper(): pass\n"
+        "def looked_up(): pass\n"
+        "def dead(): pass\n"
+        "x = Used().method, getattr(Used, 'looked_up')\n"
+    )
+    refs = referenced_names(source)
+    assert [d for d in defined_names(source) if d[0] not in refs] == [
+        ("orphan", 4), ("dead", 7)
+    ]
+
+
+def test_no_dead_definitions_in_package():
+    """Every function, method and class of the package is referenced
+    somewhere in ``src/``, ``tests/`` or ``perfbench/``."""
+    refs = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            refs |= referenced_names(path.read_text())
+    dead = [
+        "%s:%d %s" % (path.name, line, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in defined_names(path.read_text())
+        if name not in refs
+    ]
+    assert dead == []
