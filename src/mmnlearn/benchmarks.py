@@ -389,8 +389,9 @@ def _lean_machine(rng, ia_size, oa_size, mean) -> tuple[int, list[dict], list[in
 
 def _topology(topology: str, k: int) -> tuple[list, list[tuple[str, str]]]:
     """Nodes and raw (srcname, dstname) edges; alphabets attached later."""
-    if topology in ("path", "compl") and k < 1:
-        raise BenchmarkError("%s needs k >= 1" % topology)
+    least = 0 if topology == "star" else 1
+    if k < least:
+        raise BenchmarkError("%s needs k >= %d" % (topology, least))
     if topology == "path":
         comps = ["c%d" % (j + 1) for j in range(k)]
         nodes = [("in", NODE_INPUT)] + [(c, NODE_COMPONENT) for c in comps] + [("out", NODE_OUTPUT)]

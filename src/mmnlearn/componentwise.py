@@ -95,13 +95,23 @@ class CaParams:
 
 @dataclass
 class LearnedSystem:
-    """Result of a learning run; query counts live in the SUL's ``stats``."""
+    """Result of a learning run; query counts live in the SUL's ``stats``,
+    sizes (summed over components) in the learned model."""
 
     mmn: Optional[Mmn] = None  # componentwise results
     machine: Optional[DetMoore] = None  # monolithic result
     max_cex_length: int = 0
-    n_states: int = 0
-    n_transitions: int = 0
+
+    def _models(self):
+        return [self.machine] if self.machine is not None else self.mmn.machines.values()
+
+    @property
+    def n_states(self) -> int:
+        return sum(m.n_states for m in self._models())
+
+    @property
+    def n_transitions(self) -> int:
+        return sum(m.n_transitions() for m in self._models())
 
     def system_machine(self):
         return self.machine if self.machine is not None else InducedMoore(self.mmn)
@@ -114,11 +124,7 @@ def mnl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None,
         sul.system_inputs, sul.system_outputs, sul.oq, eq or sul.eq,
         memoize=memoize, deadline=deadline,
     )
-    return LearnedSystem(
-        machine=res.machine, max_cex_length=res.max_cex_length,
-        n_states=res.machine.n_states,
-        n_transitions=res.machine.n_transitions(),
-    )
+    return LearnedSystem(machine=res.machine, max_cex_length=res.max_cex_length)
 
 
 def cwl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None,
@@ -137,11 +143,8 @@ def cwl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None,
         )
         machines[c] = res.machine
         max_cex = max(max_cex, res.max_cex_length)
-    mmn = Mmn(sul.network, machines, check=False)
     return LearnedSystem(
-        mmn=mmn, max_cex_length=max_cex,
-        n_states=sum(m.n_states for m in machines.values()),
-        n_transitions=sum(m.n_transitions() for m in machines.values()),
+        mmn=Mmn(sul.network, machines, check=False), max_cex_length=max_cex
     )
 
 
@@ -149,7 +152,8 @@ def cwl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None,
 
 
 def assemble(sul: Sul, tables: dict[NodeId, ObservationTable]) -> Mmn:
-    """Hypothesis MMN: per-component hypothesis machines on the SUL network."""
+    """Hypothesis MMN: per-component hypothesis machines placed on the SUL
+    network, whose wiring every round's hypothesis shares."""
     return Mmn(
         sul.network, {c: tables[c].hypothesis() for c in sul.components}, check=False
     )
@@ -187,8 +191,9 @@ def one_ext_er(
     can receive there, paired with the access string of every row its state
     stands for.  With the ``eq`` abstraction the walk runs on the
     deterministic hypothesis directly; ``eqk`` and ``uni`` walk the
-    nondeterministic quotients of its components under the abstraction,
-    composed by the hypothesis's own wiring plan.  Only the quotient walk
+    nondeterministic quotients of its components under the abstraction.
+    Both walks compose the components by the network's ``wiring``, which
+    every round's hypothesis shares.  Only the quotient walk
     enumerates output sets, so only there is that enumeration capped:
     exceeding ``OUTPUT_CAP`` at one configuration aborts with a diagnostic
     instead of dropping tuples.
@@ -215,15 +220,17 @@ def _walk_deterministic(
 
     A component's input character is the sum of a part read from the system
     input and a part read from the other components' current outputs (its
-    base).  Per component state and base, the characters for every system
-    input and the states they lead to are computed once; the characters are
-    what the state receives, the states step the configuration.  A
-    configuration has no successor on a system input on which some
-    component has no transition.  The last level is recorded but not
-    expanded.
+    base), as the network's ``wiring`` lays out; the hypothesis supplies
+    only its transition and output tables.  Per component state and base,
+    the characters for every system input and the states they lead to are
+    computed once; the characters are what the state receives, the states
+    step the configuration.  A configuration has no successor on a system
+    input on which some component has no transition.  The last level is
+    recorded but not expanded.
     """
-    sys_parts, feeds, transitions = zip(*hypothesis._wiring)
-    outputs = hypothesis._outputs_by_comp
+    wiring = hypothesis.network.wiring
+    sys_parts, feeds = wiring.sys_parts, wiring.feeds
+    transitions, outputs = hypothesis.transitions_by_comp, hypothesis.outputs_by_comp
     # moves[k][q]: base -> successor of component k's state q per system
     # input (None where undefined); its keys are the bases q receives.
     moves = [[{} for _ in trans] for trans in transitions]
@@ -289,7 +296,8 @@ def _walk_quotient(
     expanded.
     """
     comps = hypothesis.components
-    sys_parts, feeds, _ = zip(*hypothesis._wiring)
+    wiring = hypothesis.network.wiring
+    sys_parts, feeds = wiring.sys_parts, wiring.feeds
     outputs = [quotients[c].outputs for c in comps]
     transitions = [quotients[c].transitions for c in comps]
     # moves[k][b]: bases -> per system input, the union of block b's targets.
@@ -455,13 +463,7 @@ def ccwl(
         if verdict is True:
             if event_log is not None:
                 event_log.append("eq yes after %d queries" % eq_calls)
-            return LearnedSystem(
-                mmn=hypothesis, max_cex_length=max_cex,
-                n_states=sum(m.n_states for m in hypothesis.machines.values()),
-                n_transitions=sum(
-                    m.n_transitions() for m in hypothesis.machines.values()
-                ),
-            )
+            return LearnedSystem(mmn=hypothesis, max_cex_length=max_cex)
         max_cex = max(max_cex, len(verdict.word))
         if event_log is not None:
             event_log.append("eq cex len=%d" % len(verdict.word))

@@ -240,7 +240,8 @@ def _aggregate(results: list[ExperimentResult]) -> dict:
 
 
 def report(results: list[ExperimentResult], fmt: str = "table") -> str:
-    """Render results; per-instance rows plus one aggregate row."""
+    """Render the results of one configuration: one row per instance plus
+    the mean row."""
     if fmt == "json":
         return json.dumps(
             {
@@ -249,56 +250,25 @@ def report(results: list[ExperimentResult], fmt: str = "table") -> str:
             },
             indent=2, default=str,
         ) + "\n"
+    rows = [(r.seed, r.row()) for r in results]
+    if results:
+        agg = _aggregate(results)
+        rows.append(("mean", [agg[c] for c in REPORT_COLUMNS]))
+    config = ([results[0].benchmark, results[0].algorithm, results[0].ca_params]
+              if results else ["", "", ""])
+    out = io.StringIO()
     if fmt == "csv":
-        out = io.StringIO()
-        header = ["benchmark", "algorithm", "ca", "seed"] + REPORT_COLUMNS
-        out.write(",".join(header) + "\n")
-        for r in results:
-            out.write(
-                ",".join(
-                    str(x)
-                    for x in [r.benchmark, r.algorithm, r.ca_params, r.seed] + r.row()
-                )
-                + "\n"
-            )
-        if results:
-            agg = _aggregate(results)
-            out.write(
-                ",".join(
-                    [results[0].benchmark, results[0].algorithm,
-                     results[0].ca_params, "mean"]
-                    + [str(agg[c]) for c in REPORT_COLUMNS]
-                )
-                + "\n"
-            )
+        out.write(",".join(["benchmark", "algorithm", "ca", "seed"] + REPORT_COLUMNS) + "\n")
+        for seed, values in rows:
+            out.write(",".join(str(x) for x in config + [seed] + values) + "\n")
         return out.getvalue()
     if fmt == "table":
-        out = io.StringIO()
-        label = "%s %s%s" % (
-            results[0].benchmark if results else "",
-            results[0].algorithm if results else "",
-            results[0].ca_params if results else "",
-        )
+        label = "%s %s%s" % tuple(config)
         out.write("%-32s %s\n" % (label, " ".join("%9s" % c for c in REPORT_COLUMNS)))
-        for r in results:
-            cells = [
-                format_count(r.states), format_count(r.transitions),
-                format_count(r.oq_resets), format_count(r.oq_steps),
-                format_count(r.eq_count), format_count(r.eq_resets),
-                format_count(r.eq_steps), "%.2f" % r.learner_time_seconds,
-                r.validation,
-            ]
-            out.write("%-32s %s\n" % ("seed=%d" % r.seed, " ".join("%9s" % c for c in cells)))
-        if results:
-            agg = _aggregate(results)
-            cells = [
-                format_count(agg["st."]), format_count(agg["tr."]),
-                format_count(agg["OQ reset"]), format_count(agg["OQ step"]),
-                format_count(agg["EQ"]), format_count(agg["EQ reset"]),
-                format_count(agg["EQ step"]), "%.2f" % agg["L. time"],
-                agg["valid?"],
-            ]
-            out.write("%-32s %s\n" % ("mean", " ".join("%9s" % c for c in cells)))
+        for seed, values in rows:
+            cells = [format_count(v) for v in values[:7]] + ["%.2f" % values[7], values[8]]
+            name = seed if seed == "mean" else "seed=%d" % seed
+            out.write("%-32s %s\n" % (name, " ".join("%9s" % c for c in cells)))
         return out.getvalue()
     raise ConfigError("unknown report format %r" % fmt)
 

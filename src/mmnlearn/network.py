@@ -10,6 +10,7 @@ well-defined.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .alphabet import Alphabet, AlphabetError, product_alphabet
@@ -35,6 +36,10 @@ class Network:
     component.  Edge order is fixed at construction; every tuple alphabet
     derived here (component inputs/outputs, system alphabets) enumerates
     its factors in that declared order.
+
+    The network owns how its components compose: ``wiring`` is built once,
+    from the edge alphabets alone, the first time anything reads it, and
+    every ``Mmn`` placed on this network shares it.
     """
 
     def __init__(self, nodes: Sequence[tuple[NodeId, str]], edges: Sequence[tuple[NodeId, NodeId, Alphabet]]):
@@ -79,38 +84,105 @@ class Network:
                 problems.append("output node %r has outgoing edges" % n)
             if cls == NODE_COMPONENT and (not self.in_edges[n] or not self.out_edges[n]):
                 problems.append("component %r must have incoming and outgoing edges" % n)
+        for e in self.system_in_edges:
+            if self.node_class[e[1]] == NODE_OUTPUT:
+                problems.append("edge %r joins a system input to a system output" % (e,))
         return problems
 
+    @cached_property
+    def wiring(self) -> "Wiring":
+        """The composition plan; ``NetworkError`` if the network is invalid."""
+        problems = self.diagnostics()
+        if problems:
+            raise NetworkError("invalid network: " + "; ".join(problems))
+        return Wiring(self)
+
     def component_input_alphabet(self, c: NodeId) -> Alphabet:
-        return product_alphabet((e, self.edge_alphabet[e]) for e in self.in_edges[c])
+        return self.wiring.input_alphabets[c]
 
     def component_output_alphabet(self, c: NodeId) -> Alphabet:
-        return product_alphabet((e, self.edge_alphabet[e]) for e in self.out_edges[c])
+        return self.wiring.output_alphabets[c]
+
+
+class Wiring:
+    """How the components of a valid network compose on one tick.
+
+    Lists are indexed in ``Network.components`` order.  Component ``k``
+    consumes ``sys_parts[k][i]`` on system input ``i`` plus, per feed
+    ``(src, stride, size, tstride)`` in ``feeds[k]``, the digit
+    ``(outs[src] // stride) % size`` of component ``src``'s output times
+    ``tstride``; the system output is that sum over ``out_reads``.  All
+    alphabets are products of edge alphabets: the plan reads no machine.
+    """
+
+    def __init__(self, net: Network):
+        def product(edges):
+            return product_alphabet((e, net.edge_alphabet[e]) for e in edges)
+
+        comps = net.components
+        self.index = {c: k for k, c in enumerate(comps)}
+        self.input_alphabets = {c: product(net.in_edges[c]) for c in comps}
+        self.output_alphabets = {c: product(net.out_edges[c]) for c in comps}
+        self.system_inputs = product(net.system_in_edges)
+        self.system_outputs = product(net.system_out_edges)
+        self.total_outputs = product_alphabet((c, self.output_alphabets[c]) for c in comps)
+
+        def reader(alpha: Alphabet, e: Edge) -> tuple[int, int]:
+            # (stride, size) of edge e's digit in a symbol of alpha.
+            pos = alpha.key_pos(e)
+            return alpha._strides[pos], len(alpha.factors[pos])
+
+        sys_in = self.system_inputs
+        self.sys_parts: list[list[int]] = []
+        self.feeds: list[list[tuple[int, int, int, int]]] = []
+        for c in comps:
+            sys_part = [0] * len(sys_in)
+            feeds = []
+            for e, tstride in zip(net.in_edges[c], self.input_alphabets[c]._strides):
+                if net.node_class[e[0]] == NODE_INPUT:
+                    stride, size = reader(sys_in, e)
+                    sys_part = [p + (i // stride) % size * tstride
+                                for i, p in enumerate(sys_part)]
+                else:
+                    src = e[0]
+                    feeds.append((self.index[src], *reader(self.output_alphabets[src], e), tstride))
+            self.sys_parts.append(sys_part)
+            self.feeds.append(feeds)
+        self.out_reads = [
+            (self.index[e[0]], *reader(self.output_alphabets[e[0]], e), tstride)
+            for e, tstride in zip(net.system_out_edges, self.system_outputs._strides)
+        ]
 
 
 class Mmn:
-    """A network plus one deterministic Moore machine per component node.
+    """Deterministic Moore machines placed on the components of a network.
 
-    Machines' alphabets must be in accordance with the edge alphabets.
-    Nondeterministic quotients of the components exist only inside context
-    analysis (``quotient_mmn`` and the quotient walk in ``componentwise``).
+    The network's ``wiring`` says how components compose; an ``Mmn`` adds
+    the per-component transition and output tables, in ``components``
+    order, whose alphabets must accord with the edge alphabets.
+    Nondeterministic quotients exist only inside context analysis
+    (``quotient_mmn`` and the quotient walk in ``componentwise``).
     """
 
     def __init__(self, network: Network, machines: dict[NodeId, DetMoore], check: bool = True):
         self.network = network
         self.machines = dict(machines)
-        self.components = list(network.components)
-        self._comp_index = {c: k for k, c in enumerate(self.components)}
+        self.components = network.components
         if check:
             problems = self.diagnostics()
             if problems:
                 raise NetworkError("invalid MMN: " + "; ".join(problems))
-        self._build_wiring()
+        self.transitions_by_comp = [self.machines[c].transitions for c in self.components]
+        self.outputs_by_comp = [self.machines[c].outputs for c in self.components]
 
     # -- validation --------------------------------------------------------
 
     def diagnostics(self) -> list[str]:
-        problems = list(self.network.diagnostics())
+        """The network's problems if it is invalid, else the machines'."""
+        problems = self.network.diagnostics()
+        if problems:
+            return problems
+        shape = lambda a: (len(a), tuple(len(f) for f in a.factors or ()))
         for c in self.components:
             m = self.machines.get(c)
             if m is None:
@@ -118,98 +190,49 @@ class Mmn:
                 continue
             if not isinstance(m, DetMoore):
                 problems.append("component %r is not a deterministic Moore machine" % c)
-            want_in = self.network.component_input_alphabet(c)
-            want_out = self.network.component_output_alphabet(c)
-            if len(m.input_alphabet) != len(want_in) or tuple(
-                len(f) for f in (m.input_alphabet.factors or ())
-            ) != tuple(len(f) for f in want_in.factors):
+            if shape(m.input_alphabet) != shape(self.network.component_input_alphabet(c)):
                 problems.append("component %r input alphabet not the product of its in-edge alphabets" % c)
-            if len(m.output_alphabet) != len(want_out) or tuple(
-                len(f) for f in (m.output_alphabet.factors or ())
-            ) != tuple(len(f) for f in want_out.factors):
+            if shape(m.output_alphabet) != shape(self.network.component_output_alphabet(c)):
                 problems.append("component %r output alphabet not the product of its out-edge alphabets" % c)
         return problems
 
-    # -- wiring ------------------------------------------------------------
+    # -- composition ---------------------------------------------------------
 
-    def _build_wiring(self):
-        net = self.network
-        self.system_inputs = product_alphabet(
-            (e, net.edge_alphabet[e]) for e in net.system_in_edges
-        )
-        self.system_outputs = product_alphabet(
-            (e, net.edge_alphabet[e]) for e in net.system_out_edges
-        )
-        self.total_outputs = product_alphabet(
-            (c, self.machines[c].output_alphabet) for c in self.components
-        )
-        in_pos = {e: k for k, e in enumerate(net.system_in_edges)}
-        # Per component, how its input symbol is assembled on every tick:
-        # the part read from the system input (tabulated per system input
-        # symbol), the feeds (src_index, src_stride, src_size,
-        # target_stride) reading a digit of another component's output
-        # symbol, and the transition table that consumes the sum.
-        self._wiring: list[tuple[list[int], list[tuple], tuple]] = []
-        for c in self.components:
-            sys_part = [0] * len(self.system_inputs)
-            feeds = []
-            target = self.machines[c].input_alphabet
-            # A structurally invalid component (diagnostics say so) gets no
-            # wiring.
-            if target._strides is not None and len(target._strides) == len(net.in_edges[c]):
-                for pos, e in enumerate(net.in_edges[c]):
-                    tstride = target._strides[pos]
-                    if net.node_class[e[0]] == NODE_INPUT:
-                        k = in_pos[e]
-                        stride = self.system_inputs._strides[k]
-                        size = len(self.system_inputs.factors[k])
-                        sys_part = [p + (i // stride) % size * tstride
-                                    for i, p in enumerate(sys_part)]
-                    else:
-                        src_alpha = self.machines[e[0]].output_alphabet
-                        pos_src = src_alpha.key_pos(e)
-                        feeds.append(
-                            (self._comp_index[e[0]], src_alpha._strides[pos_src],
-                             len(src_alpha.factors[pos_src]), tstride)
-                        )
-            self._wiring.append((sys_part, feeds, self.machines[c].transitions))
-        self._outputs_by_comp = [self.machines[c].outputs for c in self.components]
-        # System output restriction: which component/digit each out edge reads.
-        self._out_reads: list[tuple[int, int]] = []
-        for e in net.system_out_edges:
-            src = e[0]
-            src_alpha = self.machines[src].output_alphabet
-            self._out_reads.append((self._comp_index[src], src_alpha.key_pos(e)))
+    system_inputs = property(lambda self: self.network.wiring.system_inputs)
+    system_outputs = property(lambda self: self.network.wiring.system_outputs)
 
     def initial_configuration(self) -> tuple[int, ...]:
         return tuple(self.machines[c].initial for c in self.components)
 
     def total_output(self, config: Sequence[int]) -> tuple[int, ...]:
         """Per-component output symbols at a configuration."""
-        return tuple(outs[q] for outs, q in zip(self._outputs_by_comp, config))
+        return tuple(outs[q] for outs, q in zip(self.outputs_by_comp, config))
 
     def component_input(self, c: NodeId, sys_in: int, outs: Sequence[int]) -> int:
         """The character component ``c`` consumes given the system input and
         the current per-component output symbols."""
-        sys_part, feeds, _ = self._wiring[self._comp_index[c]]
-        sym = sys_part[sys_in]
-        for src, stride, size, tstride in feeds:
+        wiring = self.network.wiring
+        k = wiring.index[c]
+        sym = wiring.sys_parts[k][sys_in]
+        for src, stride, size, tstride in wiring.feeds[k]:
             sym += ((outs[src] // stride) % size) * tstride
         return sym
 
     def system_output(self, config: Sequence[int]) -> int:
         outs = self.total_output(config)
-        digits = []
-        for comp_idx, pos in self._out_reads:
-            src_alpha = self.machines[self.components[comp_idx]].output_alphabet
-            digits.append(src_alpha.digit(outs[comp_idx], pos))
-        return self.system_outputs.encode(digits)
+        return sum(
+            ((outs[src] // stride) % size) * tstride
+            for src, stride, size, tstride in self.network.wiring.out_reads
+        )
 
     def system_transition(self, config: Sequence[int], sys_in: int) -> Optional[tuple[int, ...]]:
         """One synchronous tick (deterministic); None if any component falls off."""
+        wiring = self.network.wiring
         outs = self.total_output(config)
         nxt = []
-        for q, (sys_part, feeds, transitions) in zip(config, self._wiring):
+        for q, sys_part, feeds, transitions in zip(
+            config, wiring.sys_parts, wiring.feeds, self.transitions_by_comp
+        ):
             sym = sys_part[sys_in]
             for src, stride, size, tstride in feeds:
                 sym += ((outs[src] // stride) % size) * tstride
@@ -268,8 +291,8 @@ class Mmn:
     def quotient_mmn(self, partitions: dict[NodeId, StatePartition]) -> dict[NodeId, NondetMoore]:
         """Each component's quotient under its partition.
 
-        The quotients keep the component alphabets, so this MMN's wiring
-        plan (``_wiring``) still describes how they are composed.
+        The quotients keep the component alphabets, so the network's
+        ``wiring`` still describes how they are composed.
         """
         return {c: quotient(self.machines[c], partitions[c]) for c in self.components}
 
@@ -286,7 +309,7 @@ class Mmn:
         for config in self.trajectory(word):
             outs = self.total_output(config)
             for k, c in enumerate(self.components):
-                alpha = self.machines[c].output_alphabet
+                alpha = net.component_output_alphabet(c)
                 for pos, e in enumerate(net.out_edges[c]):
                     traces[e].append(alpha.digit(outs[k], pos))
         return traces

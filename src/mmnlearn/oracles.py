@@ -93,10 +93,10 @@ class Sul:
         self.contract_violations = 0
 
     def component_input_alphabet(self, c: NodeId):
-        return self._mmn.machines[c].input_alphabet
+        return self.network.component_input_alphabet(c)
 
     def component_output_alphabet(self, c: NodeId):
-        return self._mmn.machines[c].output_alphabet
+        return self.network.component_output_alphabet(c)
 
     # -- output queries ------------------------------------------------------
 

@@ -152,6 +152,8 @@ def mmn_from_text(text: str) -> Mmn:
     machines: dict[str, DetMoore] = {}
     while k < len(lines) and lines[k].startswith("machine "):
         comp = lines[k].split()[1]
+        if comp not in network.components:
+            raise FormatError("machine block for %r, which is not a component" % comp)
         k += 1
         body = []
         while k < len(lines) and lines[k] != "end":

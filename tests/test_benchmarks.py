@@ -189,7 +189,8 @@ def test_from_spec_strings():
 
 
 @pytest.mark.parametrize(
-    "spec", ["binctr", "rand:star3", "rand:path0:lean", "rand:compl0:lean"]
+    "spec",
+    ["binctr", "rand:star3", "rand:path0:lean", "rand:compl0:lean", "rand:star-1:lean"],
 )
 def test_from_spec_rejects_malformed_spec(spec):
     with pytest.raises(BenchmarkError):

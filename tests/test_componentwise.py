@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from mmnlearn import componentwise
+from mmnlearn import componentwise, network
+from mmnlearn.alphabet import product_alphabet
 from mmnlearn.benchmarks import (
     binary_counter,
     counter_with_init,
@@ -30,6 +31,7 @@ from mmnlearn.componentwise import (
 from mmnlearn.machine import identity_partition
 from mmnlearn.lstar import OqCache
 from mmnlearn.network import InducedMoore
+from mmnlearn.harness import ExperimentConfig, build_sul
 from mmnlearn.oracles import EqTestConfig, Sul
 from mmnlearn.table import ObservationTable
 
@@ -371,3 +373,25 @@ def test_analyze_cex_progress_across_eq_rounds():
         assert total_after > total
         sizes.append((total, total_after))
     assert sul.validate_exact(assemble(sul, tables)) is True
+
+
+def test_ccwl_rounds_share_the_network_wiring(monkeypatch):
+    params = CaParams.parse("eqk:0", "d:0")
+    sul = build_sul(ExperimentConfig("mqtt", "ccwl", ca_params=params), 0)
+    hypotheses = []
+    products = []
+
+    def recording_assemble(sul, tables):
+        hypotheses.append(assemble(sul, tables))
+        return hypotheses[-1]
+
+    def counting_product(factors):
+        products.append(factors)
+        return product_alphabet(factors)
+
+    monkeypatch.setattr(componentwise, "assemble", recording_assemble)
+    monkeypatch.setattr(network, "product_alphabet", counting_product)
+    res = ccwl(sul, params)
+    assert res.mmn is hypotheses[-1] and len(hypotheses) > 1
+    assert products == []
+    assert {id(h.network.wiring) for h in hypotheses} == {id(sul.network.wiring)}

@@ -159,6 +159,65 @@ def test_report_empty():
     assert report([], "csv").count("\n") == 1
 
 
+def _fixed_results():
+    def res(seed, validation, **kw):
+        return ExperimentResult(
+            "binctr:5", "ccwl", "(eq,dinf)", seed, validation=validation, **kw
+        )
+
+    return [
+        res(3, VALIDATED, states=15, transitions=30, oq_resets=1234,
+            oq_steps=26000, eq_count=2, eq_resets=150, eq_steps=9999,
+            learner_time_seconds=0.125),
+        res(4, INCORRECT, states=14, transitions=28, oq_resets=999,
+            oq_steps=1_500_000, eq_count=3, eq_resets=300, eq_steps=30000,
+            learner_time_seconds=2.5),
+        res(5, TIMEOUT, oq_resets=10, oq_steps=20, learner_time_seconds=7.0),
+        res(6, ERROR, oq_resets=5, error="CaBlowupError: cap"),
+    ]
+
+
+HEAD = "      st.       tr.  OQ reset   OQ step        EQ  EQ reset   EQ step   L. time    valid?\n"
+
+
+def test_report_table_text_pinned():
+    assert report(_fixed_results(), "table") == (
+        "binctr:5 ccwl(eq,dinf)" + " " * 11 + HEAD
+        + "seed=3                                  15        30      1.2K       26K         2       150       10K      0.12 validated\n"
+        "seed=4                                  14        28       999      1.5M         3       300       30K      2.50 incorrect\n"
+        "seed=5                                   0         0        10        20         0         0         0      7.00   timeout\n"
+        "seed=6                                   0         0         5         0         0         0         0      0.00     error\n"
+        "mean                                  14.5        29      1.1K      763K       2.5       225       20K      1.31   1/1/1/1\n"
+    )
+    assert report([], "table") == " " * 33 + HEAD
+
+
+def test_report_csv_text_pinned():
+    header = "benchmark,algorithm,ca,seed,st.,tr.,OQ reset,OQ step,EQ,EQ reset,EQ step,L. time,valid?\n"
+    assert report(_fixed_results(), "csv") == header + (
+        "binctr:5,ccwl,(eq,dinf),3,15,30,1234,26000,2,150,9999,0.125,validated\n"
+        "binctr:5,ccwl,(eq,dinf),4,14,28,999,1500000,3,300,30000,2.5,incorrect\n"
+        "binctr:5,ccwl,(eq,dinf),5,0,0,10,20,0,0,0,7.0,timeout\n"
+        "binctr:5,ccwl,(eq,dinf),6,0,0,5,0,0,0,0,0.0,error\n"
+        "binctr:5,ccwl,(eq,dinf),mean,14.5,29.0,1116.5,763000.0,2.5,225.0,19999.5,1.3125,1/1/1/1\n"
+    )
+    assert report([], "csv") == header
+
+
+def test_report_json_text_pinned():
+    results = _fixed_results()
+    aggregate = {
+        "st.": 14.5, "tr.": 29.0, "OQ reset": 1116.5, "OQ step": 763000.0,
+        "EQ": 2.5, "EQ reset": 225.0, "EQ step": 19999.5, "L. time": 1.3125,
+        "valid?": "1/1/1/1",
+    }
+    assert report(results, "json") == json.dumps(
+        {"instances": [r.to_json() for r in results], "aggregate": aggregate},
+        indent=2,
+    ) + "\n"
+    assert report([], "json") == '{\n  "instances": [],\n  "aggregate": {}\n}\n'
+
+
 def test_profiles_structurally_valid():
     from mmnlearn.harness import ci_profile, table1_profile
 

@@ -71,6 +71,43 @@ def test_duplicate_edges_rejected():
         )
 
 
+def test_direct_input_to_output_edge_rejected():
+    # A system output read straight off a system input has no component to
+    # delay it, so no wiring can compose it.
+    nodes = [("i", NODE_INPUT), ("c", NODE_COMPONENT), ("o", NODE_OUTPUT)]
+    edges = [("i", "c", Alphabet(["a"])), ("c", "o", Alphabet(["x"])),
+             ("i", "o", Alphabet(["y"]))]
+    net = Network(nodes, edges)
+    m = DetMoore(Alphabet(["a"]), Alphabet(["x"]), 1, 0, ({0: 0},), (0,))
+    with pytest.raises(NetworkError, match="joins a system input"):
+        Mmn(net, {"c": m})
+    assert net.diagnostics() == [
+        "edge ('i', 'o') joins a system input to a system output"
+    ]
+
+
+def test_component_without_in_edges_rejected_by_network_message():
+    nodes = [("i", NODE_INPUT), ("c1", NODE_COMPONENT), ("c2", NODE_COMPONENT),
+             ("o", NODE_OUTPUT)]
+    edges = [("i", "c1", Alphabet(["a"])), ("c2", "c1", Alphabet(["b"])),
+             ("c1", "o", Alphabet(["x"]))]
+    net = Network(nodes, edges)
+    m = DetMoore(Alphabet(["a"]), Alphabet(["x"]), 1, 0, ({0: 0},), (0,))
+    machines = {"c1": m, "c2": m}
+    assert Mmn(net, machines, check=False).diagnostics() == net.diagnostics()
+    with pytest.raises(
+        NetworkError, match="component 'c2' must have incoming and outgoing edges"
+    ):
+        Mmn(net, machines)
+
+
+def test_wiring_built_once_per_network():
+    m = mmn_ex()
+    net = m.network
+    assert net.component_input_alphabet("c1") is net.component_input_alphabet("c1")
+    assert Mmn(net, m.machines).system_inputs is m.system_inputs
+
+
 # -- system alphabets and restriction -------------------------------------------
 
 
@@ -78,7 +115,7 @@ def test_system_alphabets_match_worked_example():
     m = mmn_ex()
     assert m.system_inputs.names() == ["(a,c)", "(a,d)", "(b,c)", "(b,d)"]
     assert m.system_outputs.names() == ["(x,z)", "(x,w)", "(y,z)", "(y,w)"]
-    assert len(m.total_outputs) == 16
+    assert len(m.network.wiring.total_outputs) == 16
     ic1 = m.network.component_input_alphabet("c1")
     assert ic1.names() == ["(a,3)", "(a,4)", "(b,3)", "(b,4)"]
     oc1 = m.network.component_output_alphabet("c1")

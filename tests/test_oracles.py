@@ -94,7 +94,12 @@ def test_oq_bar_examples():
 def test_oq_bar_agrees_with_oq_projection():
     rng = random.Random(4)
     s = sul_for(binary_counter(3))
-    reads = s._mmn._out_reads
+    net = s.network
+    # Which component and output digit each system output edge reads.
+    reads = [
+        (s.components.index(e[0]), net.out_edges[e[0]].index(e))
+        for e in net.system_out_edges
+    ]
     for _ in range(200):
         word = tuple(rng.randrange(len(s.system_inputs)) for _ in range(10))
         bar = s.oq_bar(word)
@@ -102,7 +107,7 @@ def test_oq_bar_agrees_with_oq_projection():
         for tick, tot in enumerate(bar):
             digits = []
             for comp_idx, pos in reads:
-                alpha = s._mmn.machines[s.components[comp_idx]].output_alphabet
+                alpha = s.component_output_alphabet(s.components[comp_idx])
                 digits.append(alpha.digit(tot[comp_idx], pos))
             assert s.system_outputs.encode(digits) == out[tick]
 

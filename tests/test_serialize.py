@@ -2,7 +2,7 @@ import pytest
 
 from mmnlearn.benchmarks import binary_counter, counter_with_init, mmn_ex
 from mmnlearn.machine import equivalent
-from mmnlearn.network import InducedMoore
+from mmnlearn.network import InducedMoore, NetworkError
 from mmnlearn.serialize import (
     FormatError,
     machine_from_text,
@@ -90,6 +90,7 @@ def test_machine_text_rejects_bad_states_line(header):
         (None, "mmn\n"),  # the whole text: header only
         ("node c1 component", "node c1"),  # node line without its class
         ("edge i1 c1 a b", "edge a"),  # edge line without target or alphabet
+        ("machine c2", "machine o2"),  # machine block for an output node
     ],
 )
 def test_mmn_text_rejects_malformed_lines(old, new):
@@ -130,3 +131,11 @@ def test_learned_partial_system_roundtrip():
     assert mmn_to_text(parsed) == text
     assert any(not m.is_complete for m in parsed.machines.values())
     assert equivalent(InducedMoore(parsed), InducedMoore(binary_counter(3))) is True
+
+
+def test_mmn_text_rejects_direct_input_to_output_edge():
+    text = mmn_to_text(mmn_ex()).replace(
+        "edge i1 c1 a b", "edge i1 c1 a b\nedge i1 o1 y"
+    )
+    with pytest.raises(NetworkError, match="joins a system input"):
+        mmn_from_text(text)

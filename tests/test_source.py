@@ -129,3 +129,62 @@ def test_no_dead_definitions_in_package():
         if name not in refs
     ]
     assert dead == []
+
+
+def private_self_attributes(source):
+    """Underscore attributes a module assigns on ``self``, dunders left out."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+        and node.attr.startswith("_") and not node.attr.endswith("__")
+    }
+
+
+def foreign_reads(source, names):
+    """(attribute, line) of every read of one of ``names`` off an object
+    other than ``self``, in source order."""
+    return sorted(
+        ((node.attr, node.lineno)
+         for node in ast.walk(ast.parse(source))
+         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+         and node.attr in names
+         and not (isinstance(node.value, ast.Name) and node.value.id == "self")),
+        key=lambda r: r[1],
+    )
+
+
+def test_private_state_checker():
+    owner = (
+        "class Plan:\n"
+        "    def __init__(self):\n"
+        "        self._steps = []\n"
+        "        self._cache: dict = {}\n"
+        "        self.public = 1\n"
+        "        self.__dict__ = {}\n"
+        "    def size(self):\n"
+        "        return len(self._steps)\n"
+    )
+    names = private_self_attributes(owner)
+    assert names == {"_steps", "_cache"}
+    reader = (
+        "def walk(plan, other):\n"
+        "    n = plan.public\n"
+        "    plan._cache = {}\n"
+        "    return plan._steps, other._private, plan.size()._cache\n"
+    )
+    assert foreign_reads(reader, names) == [("_steps", 4), ("_cache", 4)]
+
+
+def test_no_module_reads_network_private_state():
+    """Other modules read the network and its MMNs only through public
+    attributes such as ``Network.wiring``."""
+    names = private_self_attributes((SRC / "network.py").read_text())
+    found = {
+        path.name: reads
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "network.py"
+        and (reads := foreign_reads(path.read_text(), names))
+    }
+    assert found == {}
