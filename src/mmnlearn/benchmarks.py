@@ -553,40 +553,36 @@ def _digit(sym: int, sizes: list[int], pos: int) -> int:
 
 
 def from_spec(spec: str) -> Mmn:
-    """Build a benchmark from its canonical spec string."""
-    parts = spec.split(":")
-    kind = parts[0]
-    if len(parts) < {"binctr": 2, "rand": 3}.get(kind, 1):
-        raise BenchmarkError("spec %r lacks a field" % spec)
-    if kind == "mmn_ex":
-        return mmn_ex()
-    if kind == "counter_init":
-        return counter_with_init()
-    if kind == "binctr":
-        return binary_counter(int(parts[1]))
-    if kind == "mqtt":
-        return mqtt_lighting()
-    if kind == "rand":
-        topo_tok = parts[1]
-        for name in ("compl", "star", "path"):
-            if topo_tok.startswith(name):
-                topology, k = name, int(topo_tok[len(name):])
-                break
-        else:
-            raise BenchmarkError("bad topology token %r" % topo_tok)
-        comp_kind = parts[2]
-        seed = 0
-        mean = 10.0
-        for tok in parts[3:]:
-            key, _, val = tok.partition("=")
-            if key == "seed":
-                seed = int(val)
-            elif key == "mean":
-                mean = float(val)
+    """Build a benchmark from its canonical spec string; a missing, extra or
+    malformed field raises ``BenchmarkError`` naming the spec."""
+    kind, *fields = spec.split(":")
+    fixed = {"mmn_ex": mmn_ex, "counter_init": counter_with_init, "mqtt": mqtt_lighting}
+    try:
+        if kind in fixed and not fields:
+            return fixed[kind]()
+        if kind == "binctr" and len(fields) == 1:
+            return binary_counter(int(fields[0]))
+        if kind == "rand" and len(fields) >= 2:
+            topo_tok, comp_kind, *options = fields
+            for name in ("compl", "star", "path"):
+                if topo_tok.startswith(name):
+                    topology, k = name, int(topo_tok[len(name):])
+                    break
             else:
-                raise BenchmarkError("bad rand option %r" % tok)
-        return rand_mmn(topology, k, comp_kind, seed, mean)
-    raise BenchmarkError("unknown benchmark spec %r" % spec)
+                raise BenchmarkError("bad topology token %r" % topo_tok)
+            seed, mean = 0, 10.0
+            for tok in options:
+                key, _, val = tok.partition("=")
+                if key == "seed":
+                    seed = int(val)
+                elif key == "mean":
+                    mean = float(val)
+                else:
+                    raise BenchmarkError("bad rand option %r" % tok)
+            return rand_mmn(topology, k, comp_kind, seed, mean)
+    except ValueError as exc:  # BenchmarkError, or a field int()/float() refused
+        raise BenchmarkError("bad benchmark spec %r: %s" % (spec, exc)) from exc
+    raise BenchmarkError("unknown benchmark spec %r, or wrong field count" % spec)
 
 
 def shipped_specs(max_total_states: Optional[int] = None) -> list[str]:

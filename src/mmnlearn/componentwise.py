@@ -362,7 +362,7 @@ def _walk_quotient(
 
 
 def analyze_cex_componentwise(
-    hypothesis: Mmn,
+    induced: InducedMoore,
     word: Word,
     sul: Sul,
     tables: dict[NodeId, ObservationTable],
@@ -371,15 +371,18 @@ def analyze_cex_componentwise(
 ) -> None:
     """Extended counterexample analysis (valid for sound and unsound CA).
 
-    If the hypothesis system machine falls off along the word, the first
-    undefined tick names a component and an input character whose row is
-    missing: add it.  Otherwise some component's total-output trace
-    disagrees with the hypothesis simulation; rebuild that component's
-    local input word from the observed total outputs and delegate to the
-    suffix-based analyzer.  Several candidates tie-break by component order.
+    ``induced`` is the epoch's system machine the EQ ran on: its ``mmn`` is
+    the (immutable) hypothesis, and its memo gives the word's configurations.
+    If the hypothesis falls off along the word, the first undefined tick
+    names a component and an input character whose row is missing: add it.
+    Otherwise some component's total-output trace disagrees with the
+    hypothesis simulation; rebuild that component's local input word from
+    the observed total outputs and delegate to the suffix-based analyzer,
+    which starts a new epoch.  Candidates tie-break by component order.
     """
+    hypothesis = induced.mmn
     comps = hypothesis.components
-    configs = hypothesis.trajectory(word)
+    configs = induced.trajectory(word)
 
     if len(configs) <= len(word):
         config, sys_in = configs[-1], word[len(configs) - 1]
@@ -424,7 +427,12 @@ def ccwl(
     event_log: Optional[list[str]] = None,
 ) -> LearnedSystem:
     """Contextual componentwise L* (component OQs + system-level EQs);
-    ``memoize`` acts per component as in :func:`lstar`."""
+    ``memoize`` acts per component as in :func:`lstar`.
+
+    Between two suffix additions (an *epoch*) hypotheses only gain states
+    and transitions: each hypothesis is immutable, but the EQs of an epoch
+    share one ``InducedMoore`` memo, rebound to each new hypothesis, whose
+    non-initial configurations ``event_log`` reports per EQ (``known``)."""
     eq = eq or sul.eq
     caches: dict[NodeId, OqCache] = {}
     tables: dict[NodeId, ObservationTable] = {}
@@ -438,6 +446,7 @@ def ccwl(
         )
     eq_calls = 0
     max_cex = 0
+    induced: Optional[InducedMoore] = None  # the epoch's system machine
     while True:
         if deadline is not None and time.monotonic() > deadline:
             raise LearningTimeout("learning budget exceeded")
@@ -457,9 +466,13 @@ def ccwl(
                 tables[c].add_extension(s + (i,))
             continue
         eq_calls += 1
+        induced = induced or InducedMoore(hypothesis)  # one per epoch
+        induced.rebind(hypothesis)
         if event_log is not None:
-            event_log.append("eq issued n=%d" % eq_calls)
-        verdict = eq(InducedMoore(hypothesis))
+            event_log.append(
+                "eq issued n=%d known=%d" % (eq_calls, induced.n_explored() - 1)
+            )
+        verdict = eq(induced)
         if verdict is True:
             if event_log is not None:
                 event_log.append("eq yes after %d queries" % eq_calls)
@@ -467,6 +480,7 @@ def ccwl(
         max_cex = max(max_cex, len(verdict.word))
         if event_log is not None:
             event_log.append("eq cex len=%d" % len(verdict.word))
-        analyze_cex_componentwise(
-            hypothesis, verdict.word, sul, tables, caches, event_log
-        )
+        suffixes = sum(len(t.E) for t in tables.values())
+        analyze_cex_componentwise(induced, verdict.word, sul, tables, caches, event_log)
+        if sum(len(t.E) for t in tables.values()) != suffixes:
+            induced = None  # a new epoch: states may split and renumber

@@ -242,21 +242,6 @@ class Mmn:
             nxt.append(t)
         return tuple(nxt)
 
-    def trajectory(self, word: Sequence[int]) -> list[tuple[int, ...]]:
-        """The configurations a run visits, the initial one first; stops at
-        the first tick on which some component has no move, so a complete run
-        has ``len(word) + 1`` entries.  Raises ``AlphabetError`` if any symbol
-        of ``word`` is not a system input."""
-        self.system_inputs.check_word(word)
-        config = self.initial_configuration()
-        configs = [config]
-        for sys_in in word:
-            config = self.system_transition(config, sys_in)
-            if config is None:
-                break
-            configs.append(config)
-        return configs
-
     # -- derived machines ----------------------------------------------------
 
     def materialize(self, budget: int = 10**6) -> DetMoore:
@@ -306,7 +291,7 @@ class Mmn:
         traces: dict[Edge, list[int]] = {
             e: [] for e in net.edges if net.node_class[e[0]] != NODE_INPUT
         }
-        for config in self.trajectory(word):
+        for config in InducedMoore(self).trajectory(word):
             outs = self.total_output(config)
             for k, c in enumerate(self.components):
                 alpha = net.component_output_alphabet(c)
@@ -323,6 +308,9 @@ class InducedMoore:
     be shared across threads.  Exposes the surface of DetMoore that
     ``equivalent`` and the oracles use: ``initial``, ``step``, ``output``,
     ``semantics`` plus the two alphabets.
+
+    The MMN is immutable, but the memo may outlive it: ``rebind`` moves it
+    to a hypothesis grown from it within one learning epoch (see ``ccwl``).
     """
 
     def __init__(self, mmn: Mmn):
@@ -333,8 +321,17 @@ class InducedMoore:
         self._ids: dict[tuple[int, ...], int] = {self._configs[0]: 0}
         self._trans: list[dict[int, Optional[int]]] = [dict()]
         self._outs: list[int] = [mmn.system_output(self._configs[0])]
+        self._falloffs: list[tuple[int, int]] = []  # (q, i) memoized as None
 
     initial = 0
+
+    def rebind(self, mmn: Mmn) -> None:
+        """Continue on ``mmn``, grown from the current MMN within an epoch;
+        memoized fall-offs are forgotten, as a new transition may define them."""
+        self.mmn = mmn
+        for q, i in self._falloffs:
+            del self._trans[q][i]
+        self._falloffs = []
 
     def configuration(self, q: int) -> tuple[int, ...]:
         return self._configs[q]
@@ -352,6 +349,7 @@ class InducedMoore:
         nxt = self.mmn.system_transition(self._configs[q], i)
         if nxt is None:
             row[i] = None
+            self._falloffs.append((q, i))
             return None
         t = self._ids.get(nxt)
         if t is None:
@@ -383,3 +381,16 @@ class InducedMoore:
             q = nxt
             out.append(outs[q])
         return tuple(out)
+
+    def trajectory(self, word: Sequence[int]) -> list[tuple[int, ...]]:
+        """The configurations a run visits, the initial one first, up to the
+        first fall-off; the word is checked like in ``semantics``."""
+        self.input_alphabet.check_word(word)
+        q = self.initial
+        configs = [self._configs[q]]
+        for i in word:
+            q = self.step(q, i)
+            if q is None:
+                break
+            configs.append(self._configs[q])
+        return configs

@@ -137,7 +137,7 @@ class Sul:
         steps, once ``trajectory`` has accepted the word.
         """
         t0 = time.perf_counter()
-        configs = self._mmn.trajectory(word)
+        configs = self._induced.trajectory(word)
         for _ in self.components:
             self.stats._oq(len(word))
         if len(configs) <= len(word):

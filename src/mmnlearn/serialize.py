@@ -154,6 +154,8 @@ def mmn_from_text(text: str) -> Mmn:
         comp = lines[k].split()[1]
         if comp not in network.components:
             raise FormatError("machine block for %r, which is not a component" % comp)
+        if comp in machines:
+            raise FormatError("second machine block for %r" % comp)
         k += 1
         body = []
         while k < len(lines) and lines[k] != "end":
@@ -170,6 +172,8 @@ def mmn_from_text(text: str) -> Mmn:
         )
     if k >= len(lines) or lines[k] != "end-mmn":
         raise FormatError("missing end-mmn")
+    if k + 1 < len(lines):
+        raise FormatError("line %r after end-mmn" % lines[k + 1])
     return Mmn(network, machines)
 
 

@@ -36,6 +36,14 @@ class ObservationTable:
         self.E: list[Word] = [()]
         self._rows: dict[Word, tuple[int, ...]] = {(): (oq_last(()),)}
         self._hypothesis: DetMoore | None = None  # valid until S, R or E change
+        self._new_epoch()
+
+    def _new_epoch(self) -> None:
+        # The epoch's hypothesis: S row -> state id (index in S), moves, and
+        # extensions added since the last build (the first reads all moves).
+        self._state_of: dict[tuple[int, ...], int] = {}
+        self._moves: list[dict[int, int]] = []
+        self._added: list[Word] = []
 
     def __contains__(self, word: Word) -> bool:
         return word in self._rows
@@ -47,12 +55,15 @@ class ObservationTable:
         assert prefix not in self._rows
         self.R.append(prefix)
         self._hypothesis = None
+        if self._moves:
+            self._added.append(prefix)
         self._rows[prefix] = tuple(self._oq_last(prefix + e) for e in self.E)
 
     def add_suffix(self, suffix: Word) -> None:
         assert suffix not in self.E
         self.E.append(suffix)
         self._hypothesis = None
+        self._new_epoch()
         for u in self.S + self.R:
             self._rows[u] += (self._oq_last(u + suffix),)
 
@@ -78,34 +89,36 @@ class ObservationTable:
     def hypothesis(self) -> DetMoore:
         """Hypothesis machine from a closed table.
 
-        States are the (pairwise distinct) S rows; the transition on
-        (row(s), i) is defined exactly when s·i is in the table.  The
-        machine is immutable, so it is built once and shared until the table
+        States are the (pairwise distinct) S rows, numbered by position in
+        S; the transition on (row(s), i) is defined exactly when s·i is in
+        the table.  Between two ``add_suffix`` calls (an *epoch*) states,
+        outputs and transitions only accrue, so a build adds just the new
+        ones.  The machine is a fresh immutable copy, shared until the table
         changes.
         """
         if self._hypothesis is None:
-            self._hypothesis = self._build_hypothesis()
+            rows, S, state_of, moves = self._rows, self.S, self._state_of, self._moves
+            built = len(moves)
+            for s in S[built:]:
+                r = rows[s]
+                assert r not in state_of, "S rows must stay pairwise distinct"
+                state_of[r] = len(moves)
+                moves.append({})
+            for w in self._added:  # new moves of the states built before
+                q = state_of.get(rows.get(w[:-1]), built)
+                if q < built and S[q] == w[:-1]:
+                    moves[q][w[-1]] = state_of[rows[w]]
+            self._added = []
+            for q in range(built, len(S)):  # every move of the new states
+                for i in self.input_alphabet:
+                    r = rows.get(S[q] + (i,))
+                    if r is not None:
+                        moves[q][i] = state_of[r]
+            self._hypothesis = DetMoore(
+                self.input_alphabet, self.output_alphabet, len(moves), 0,
+                tuple(m.copy() for m in moves), tuple(rows[s][0] for s in S),
+            )
         return self._hypothesis
-
-    def _build_hypothesis(self) -> DetMoore:
-        rows = self._rows
-        state_of: dict[tuple[int, ...], int] = {}
-        for s in self.S:
-            r = rows[s]
-            assert r not in state_of, "S rows must stay pairwise distinct"
-            state_of[r] = len(state_of)
-        transitions: list[dict[int, int]] = [dict() for _ in self.S]
-        for q, s in enumerate(self.S):
-            for i in self.input_alphabet:
-                r = rows.get(s + (i,))
-                if r is not None:
-                    transitions[q][i] = state_of[r]
-        outputs = tuple(rows[s][0] for s in self.S)
-        return DetMoore(
-            self.input_alphabet, self.output_alphabet,
-            len(self.S), state_of[rows[()]],
-            tuple(transitions), outputs,
-        )
 
     def dump(self) -> str:
         """Human-readable rows-by-columns dump for debugging/golden tests."""

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -190,10 +191,12 @@ def test_from_spec_strings():
 
 @pytest.mark.parametrize(
     "spec",
-    ["binctr", "rand:star3", "rand:path0:lean", "rand:compl0:lean", "rand:star-1:lean"],
+    ["binctr", "rand:star3", "rand:path0:lean", "rand:compl0:lean", "rand:star-1:lean",
+     "binctr:5:zzz", "mqtt:1", "mmn_ex:9",  # an extra field
+     "binctr:x", "rand:starx:lean", "rand:star3:lean:mean=x"],  # a field not a number
 )
 def test_from_spec_rejects_malformed_spec(spec):
-    with pytest.raises(BenchmarkError):
+    with pytest.raises(BenchmarkError, match=re.escape(repr(spec))):
         from_spec(spec)
 
 

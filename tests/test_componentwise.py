@@ -34,6 +34,7 @@ from mmnlearn.network import InducedMoore
 from mmnlearn.harness import ExperimentConfig, build_sul
 from mmnlearn.oracles import EqTestConfig, Sul
 from mmnlearn.table import ObservationTable
+from tests.test_lstar import reference_hypothesis
 
 
 def fresh_tables(sul):
@@ -190,10 +191,11 @@ def test_one_ext_eq_matches_generic_walk_on_identity_quotient(spec, bound):
             for c, s, i in missing:
                 tables[c].add_extension(s + (i,))
             continue
-        verdict = sul.exact_eq(InducedMoore(hyp))
+        ind = InducedMoore(hyp)
+        verdict = sul.exact_eq(ind)
         if verdict is True:
             break
-        analyze_cex_componentwise(hyp, verdict.word, sul, tables, caches)
+        analyze_cex_componentwise(ind, verdict.word, sul, tables, caches)
     else:
         pytest.fail("no convergence within 500 rounds")
     assert fell_off_rounds > 0
@@ -344,6 +346,16 @@ def test_ccwl_event_log():
     ccwl(sul, CaParams(), event_log=log)
     assert any(line.startswith("round") for line in log)
     assert log[-1].startswith("eq yes")
+    # Each EQ reports the configurations its epoch's system machine already
+    # held besides the initial one: none on a fresh machine, some once a
+    # fall-off counterexample kept the epoch going.
+    log = []
+    sul = Sul(binary_counter(4), EqTestConfig(seed=5))
+    ccwl(sul, CaParams("eq", None, "d", 0), event_log=log)
+    issued = [line for line in log if line.startswith("eq issued")]
+    known = [int(line.split("known=")[1]) for line in issued]
+    assert len(known) == len(issued) > 1
+    assert known[0] == 0 and max(known[1:]) > 0
 
 
 def test_analyze_cex_progress_across_eq_rounds():
@@ -364,11 +376,12 @@ def test_analyze_cex_progress_across_eq_rounds():
             for c, s, i in missing:
                 tables[c].add_extension(s + (i,))
             continue
-        verdict = sul.eq(InducedMoore(hyp))
+        ind = InducedMoore(hyp)
+        verdict = sul.eq(ind)
         if verdict is True:
             break
         total = sum(len(t.S) + len(t.R) + len(t.E) for t in tables.values())
-        analyze_cex_componentwise(hyp, verdict.word, sul, tables, caches)
+        analyze_cex_componentwise(ind, verdict.word, sul, tables, caches)
         total_after = sum(len(t.S) + len(t.R) + len(t.E) for t in tables.values())
         assert total_after > total
         sizes.append((total, total_after))
@@ -395,3 +408,70 @@ def test_ccwl_rounds_share_the_network_wiring(monkeypatch):
     assert res.mmn is hypotheses[-1] and len(hypotheses) > 1
     assert products == []
     assert {id(h.network.wiring) for h in hypotheses} == {id(sul.network.wiring)}
+
+
+def memo_entries_agree(ind):
+    """Check every memo entry of ``ind`` (output, move or fall-off) against
+    its current MMN; return how many moves were checked."""
+    hyp, checked = ind.mmn, 0
+    for q in range(ind.n_explored()):
+        config = ind.configuration(q)
+        assert ind.output(q) == hyp.system_output(config)
+        for i, t in ind._trans[q].items():
+            want = hyp.system_transition(config, i)
+            assert want is None if t is None else ind.configuration(t) == want
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("ca", ["eq,dinf", "eqk:0,d:0", "eq,dmin"])
+@pytest.mark.parametrize("spec", ["binctr:5", "mqtt", "rand:path3:lean:mean=5:seed=0"])
+def test_ccwl_epoch_invariant(monkeypatch, spec, ca):
+    # Every round's table hypotheses equal a from-scratch build, the EQs of
+    # one epoch (no suffix added in between) share one system machine, and
+    # its memo agrees with the current hypothesis before and after each EQ.
+    params = CaParams.parse(*ca.split(","))
+    sul = build_sul(ExperimentConfig(spec, "ccwl", ca_params=params), 0)
+    rounds, eqs, checked = [], [], []
+
+    def checking_assemble(sul, tables):
+        for t in tables.values():
+            assert t.hypothesis() == reference_hypothesis(t)
+        rounds.append((assemble(sul, tables), sum(len(t.E) for t in tables.values())))
+        return rounds[-1][0]
+
+    def checking_eq(ind):
+        hyp, suffixes = rounds[-1]
+        assert ind.mmn is hyp
+        if eqs:
+            last, last_suffixes = eqs[-1]
+            assert (ind is last) == (suffixes == last_suffixes)
+        eqs.append((ind, suffixes))
+        memo_entries_agree(ind)
+        verdict = sul.eq(ind)
+        checked.append(memo_entries_agree(ind))
+        return verdict
+
+    monkeypatch.setattr(componentwise, "assemble", checking_assemble)
+    ccwl(sul, params, eq=checking_eq)
+    assert len(rounds) > 1 and sum(checked) > 0
+
+
+def test_rebind_forgets_memoized_falloffs():
+    sul = Sul(mmn_ex(), EqTestConfig(seed=0))
+    tables, caches = fresh_tables(sul)
+    hyp = assemble(sul, tables)  # no transitions yet
+    ind = InducedMoore(hyp)
+    w = (sul.system_inputs.symbol("(a,c)"),) * 3
+    before = ind.semantics(w)
+    assert len(before) == 1 and ind._trans[0][w[0]] is None  # memoized fall-off
+    for _ in hyp.components:  # each component lacks its tick-0 move
+        assert len(ind.semantics(w)) == 1
+        analyze_cex_componentwise(ind, w, sul, tables, caches)  # adds one row
+        for t in tables.values():
+            t.close()
+        hyp = assemble(sul, tables)
+        ind.rebind(hyp)
+    after = ind.semantics(w)
+    assert len(after) > len(before)
+    assert after == InducedMoore(hyp).semantics(w)

@@ -42,6 +42,20 @@ def n_distinct_rows(tbl):
     return len({tbl.row(u) for u in tbl.S + tbl.R})
 
 
+def reference_hypothesis(tbl):
+    """The table's hypothesis built from scratch: state q is S[q], with a
+    move on i exactly where S[q]·i is in the table."""
+    state_of = {tbl.row(s): q for q, s in enumerate(tbl.S)}
+    assert len(state_of) == len(tbl.S), "S rows must stay pairwise distinct"
+    transitions = tuple(
+        {i: state_of[tbl.row(s + (i,))] for i in tbl.input_alphabet if s + (i,) in tbl}
+        for s in tbl.S
+    )
+    outputs = tuple(tbl.row(s)[0] for s in tbl.S)
+    return DetMoore(tbl.input_alphabet, tbl.output_alphabet, len(tbl.S),
+                    state_of[tbl.row(())], transitions, outputs)
+
+
 def table_for(machine, oracle=None):
     oracle = oracle or CountingOracle(machine)
     cache = OqCache(oracle.oq)
@@ -110,7 +124,7 @@ def test_hypothesis_cached_until_table_changes():
     def fresh():
         h = tbl.hypothesis()
         assert tbl.hypothesis() is h  # unchanged table: the same object
-        rebuilt = tbl._build_hypothesis()
+        rebuilt = reference_hypothesis(tbl)
         assert h == rebuilt and equivalent(h, rebuilt) is True
         return h
 
@@ -119,10 +133,28 @@ def test_hypothesis_cached_until_table_changes():
     assert fresh().step(0, loop) == 0 and h0.step(0, loop) is None
     tbl.add_extension((a3, a3))  # not a one-step extension of S: ignored
     fresh()
+    tbl.add_extension((loop, a3))  # extends (loop,), an R word: ignored
+    fresh()
     tbl.close()  # moves (a3, a3) into S
     assert tbl.S == [(), (a3, a3)] and fresh().n_states == 2
     tbl.add_suffix((a3,))  # table stays closed
     fresh()
+
+
+def test_hypothesis_move_waits_for_its_prefix():
+    # (1, 1) enters the table before its prefix (1,) does: its move appears
+    # once (1,) is in S, as in a from-scratch build.
+    m = binary_counter(2).machines["c1"]
+    one = m.input_alphabet.symbol("(1)")
+    tbl, _, _ = table_for(m)
+    tbl.add_extension((one, one))
+    tbl.close()
+    assert tbl.hypothesis() == reference_hypothesis(tbl)
+    tbl.add_extension((one,))
+    tbl.close()
+    h = tbl.hypothesis()
+    assert h == reference_hypothesis(tbl)
+    assert h.step(tbl.S.index((one,)), one) is not None
 
 
 def test_one_ext_counts():

@@ -183,7 +183,7 @@ def test_system_transition_absent_when_component_stuck():
     # where the run stops
     stuck = Mmn(m.network, {**m.machines, "c2": replace(m.machines["c2"], initial=1)})
     for i in m.system_inputs:
-        configs = stuck.trajectory((i, i, i))
+        configs = InducedMoore(stuck).trajectory((i, i, i))
         assert len(configs) == 2 and configs[-1][1] == 2
         assert len(InducedMoore(stuck).semantics((i, i, i))) == 2
 
@@ -205,7 +205,7 @@ def test_foreign_system_input_rejected():
         with pytest.raises(AlphabetError):
             InducedMoore(m).semantics((i,))
     with pytest.raises(AlphabetError):
-        m.trajectory((0, 4))
+        InducedMoore(m).trajectory((0, 4))
     # The whole word is checked, also past the tick where a run falls off
     # and on memo hits.
     stuck = InducedMoore(
@@ -303,7 +303,7 @@ def test_simulate_agrees_with_induced_semantics():
             word = tuple(rng.randrange(len(m.system_inputs)) for _ in range(8))
             traces = m.simulate(word)
             sem = ind.semantics(word)
-            assert len(m.trajectory(word)) == len(sem)
+            assert len(ind.trajectory(word)) == len(sem)
             for pos, e in enumerate(m.network.system_out_edges):
                 got = traces[e]
                 want = [m.system_outputs.digit(s, pos) for s in sem]

@@ -139,3 +139,16 @@ def test_mmn_text_rejects_direct_input_to_output_edge():
     )
     with pytest.raises(NetworkError, match="joins a system input"):
         mmn_from_text(text)
+
+
+def test_mmn_text_rejects_second_machine_block():
+    text = mmn_to_text(mmn_ex())
+    c1 = text[text.index("machine c1"):text.index("machine c2")]
+    with pytest.raises(FormatError, match="second machine block"):
+        mmn_from_text(text.replace("end-mmn", c1 + "end-mmn"))
+
+
+def test_mmn_text_rejects_lines_after_end():
+    text = mmn_to_text(mmn_ex())
+    with pytest.raises(FormatError, match="after end-mmn"):
+        mmn_from_text(text + "machine c1\n")
