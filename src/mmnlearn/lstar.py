@@ -50,10 +50,10 @@ def table_oracle(cache: OqCache) -> Callable[[Word], int]:
     return (cache if cache.enabled else OqCache(cache.oq)).last
 
 
-def one_ext_lstar(table: ObservationTable) -> list[tuple[Word, int]]:
-    """Classic completion rule: every hypothesis access string times every
-    input character."""
-    return [(s, i) for s in table.S for i in table.input_alphabet]
+def one_ext_lstar(table: ObservationTable, start: int = 0) -> list[tuple[Word, int]]:
+    """Classic completion rule: every hypothesis access string from
+    ``S[start]`` on times every input character."""
+    return [(s, i) for s in table.S[start:] for i in table.input_alphabet]
 
 
 def analyze_cex(
@@ -152,13 +152,18 @@ def lstar(
     cache = OqCache(oq, enabled=memoize)
     table = ObservationTable(input_alphabet, output_alphabet, table_oracle(cache))
     max_cex = 0
+    # S only grows and no row is ever removed, so only the states that
+    # ``close`` appended since the last scan can lack extensions.
+    scanned = 0
     while True:
         if deadline is not None and time.monotonic() > deadline:
             raise LearningTimeout("learning budget exceeded")
         table.close()
         missing = [
-            (s, i) for (s, i) in one_ext_lstar(table) if s + (i,) not in table
+            (s, i) for (s, i) in one_ext_lstar(table, scanned)
+            if s + (i,) not in table
         ]
+        scanned = len(table.S)
         if missing:
             for s, i in missing:
                 table.add_extension(s + (i,))

@@ -32,6 +32,11 @@ def random_word(rng: random.Random, n: int, length: int) -> Word:
     return tuple(word)
 
 
+# Marks of a product move in ``Sul._random_eq``; interned pairs are >= 0.
+_DIFF = -1  # the output traces differ from this tick on
+_AGREE = -2  # both machines fell off: the traces agree to the end
+
+
 class OracleContractError(RuntimeError):
     """A total output query fell off a partial SUL component.
 
@@ -157,7 +162,9 @@ class Sul:
         symbol is ``randrange(|I|)`` of the SUL's seeded generator, see
         :func:`random_word`) and returns the first word whose SUL output
         differs from the hypothesis output (missing transitions in the
-        hypothesis truncate its output and count as differences).
+        hypothesis truncate its output and count as differences).  Each word
+        is charged whole, but both machines are stepped only up to the first
+        difference (see :meth:`_random_eq`).
         """
         return self._random_eq(self._induced, hypothesis)
 
@@ -166,16 +173,68 @@ class Sul:
         return self._random_eq(self._mmn.machines[c], hypothesis)
 
     def _random_eq(self, target, hypothesis):
+        """Compare ``target`` and ``hypothesis`` on random words, pair by pair.
+
+        Each word is drawn whole and charged (one reset, one step per
+        symbol), then walked over a product memo built for this EQ: pairs of
+        states whose outputs agree are interned, and each pair move is
+        memoized in one dict keyed ``pair * |I| + symbol``.  A move on which
+        the outputs differ, or exactly one side falls off, is ``_DIFF``; one
+        on which both fall off is ``_AGREE``, as the outputs then agree to
+        the end of the word.  A walk stops at the first mark, so neither
+        machine is stepped past a difference, and a word is a counterexample
+        exactly when its two output traces differ.  A hypothesis with a
+        smaller input alphabet checks each whole word first, as its
+        ``semantics`` does: a foreign symbol raises ``AlphabetError`` even
+        past a fall-off.
+        """
         t0 = time.perf_counter()
-        self.stats._eq()
-        cfg = self.eq_config
+        stats, rng, cfg = self.stats, self._rng, self.eq_config
+        stats._eq()
         n_in = len(target.input_alphabet)
+        check = None
+        if len(hypothesis.input_alphabet) < n_in:
+            check = hypothesis.input_alphabet.check_word
+        t_step, t_out = target.step, target.output
+        h_step, h_out = hypothesis.step, hypothesis.output
+        pairs = [(target.initial, hypothesis.initial)]
+        ids = {pairs[0]: 0}
+        moves: dict[int, int] = {}
+
+        def move(key: int) -> int:
+            p, i = divmod(key, n_in)
+            q1, q2 = pairs[p]
+            t1, t2 = t_step(q1, i), h_step(q2, i)
+            if t1 is None or t2 is None:
+                nxt = _AGREE if t1 is None and t2 is None else _DIFF
+            elif t_out(t1) != h_out(t2):
+                nxt = _DIFF
+            else:
+                pair = (t1, t2)
+                nxt = ids.setdefault(pair, len(pairs))
+                if nxt == len(pairs):
+                    pairs.append(pair)
+            moves[key] = nxt
+            return nxt
+
+        start = 0 if t_out(target.initial) == h_out(hypothesis.initial) else _DIFF
         result = EQUIVALENT
         for _ in range(cfg.words_per_eq):
-            word = random_word(self._rng, n_in, cfg.word_length)
-            self.stats.eq_resets += 1
-            self.stats.eq_steps += len(word)
-            if target.semantics(word) != hypothesis.semantics(word):
+            word = random_word(rng, n_in, cfg.word_length)
+            stats.eq_resets += 1
+            stats.eq_steps += len(word)
+            if check is not None:
+                check(word)
+            p = start
+            if p >= 0:
+                for i in word:
+                    key = p * n_in + i
+                    p = moves.get(key)
+                    if p is None:
+                        p = move(key)
+                    if p < 0:
+                        break
+            if p == _DIFF:
                 result = Counterexample(word)
                 break
         self.oracle_seconds += time.perf_counter() - t0

@@ -4,10 +4,12 @@ import time
 import pytest
 
 from mmnlearn import oracles
-from mmnlearn.alphabet import AlphabetError
+from mmnlearn.alphabet import Alphabet, AlphabetError
 from mmnlearn.benchmarks import binary_counter, mmn_ex, rand_mmn
+from mmnlearn.componentwise import CaParams
+from mmnlearn.harness import ExperimentConfig, run_experiment
 from mmnlearn.machine import Counterexample, DetMoore
-from mmnlearn.network import InducedMoore
+from mmnlearn.network import InducedMoore, Mmn
 from mmnlearn.oracles import EqTestConfig, QueryStats, Sul, random_word
 
 
@@ -179,6 +181,240 @@ def test_eq_c_mirror():
         c1.transitions, ((c1.outputs[0] + 1) % len(c1.output_alphabet),) + c1.outputs[1:],
     )
     assert isinstance(s.eq_c("c1", wrong), Counterexample)
+
+
+# -- the product walk against the two-run comparison ----------------------------
+
+
+def reference_eq(target, hypothesis, cfg, rng, stats):
+    """The comparison ``Sul._random_eq`` replaced: both machines run every
+    whole word, and the two output tuples are compared."""
+    stats._eq()
+    for _ in range(cfg.words_per_eq):
+        word = random_word(rng, len(target.input_alphabet), cfg.word_length)
+        stats.eq_resets += 1
+        stats.eq_steps += len(word)
+        if target.semantics(word) != hypothesis.semantics(word):
+            return Counterexample(word)
+    return True
+
+
+def assert_eqs_match_reference(pairs, cfg):
+    """Run the EQs of ``pairs`` in order on one SUL and on the reference;
+    the verdicts, charges and generator states agree after every EQ."""
+    sul = Sul(mmn_ex(), cfg)
+    rng, stats = random.Random(cfg.seed), QueryStats()
+    verdicts = []
+    for target, hypothesis, ref_target, ref_hypothesis in pairs:
+        got = sul._random_eq(target, hypothesis)
+        want = reference_eq(ref_target, ref_hypothesis, cfg, rng, stats)
+        assert got == want
+        assert sul.stats.snapshot() == stats.snapshot()
+        assert sul._rng.getstate() == rng.getstate()
+        verdicts.append(got is True)
+    return verdicts
+
+
+def random_moore(rng, n_in, n_out, density=1.0):
+    n = rng.randint(1, 6)
+    trans = tuple(
+        {i: rng.randrange(n) for i in range(n_in) if rng.random() < density}
+        for _ in range(n)
+    )
+    return DetMoore(
+        Alphabet(["i%d" % i for i in range(n_in)]),
+        Alphabet(["o%d" % o for o in range(n_out)]),
+        n, rng.randrange(n), trans, tuple(rng.randrange(n_out) for _ in range(n)),
+    )
+
+
+def renumbered(m, rng):
+    """An isomorphic copy with shuffled state ids: the same output traces."""
+    perm = list(range(m.n_states))
+    rng.shuffle(perm)
+    trans = [None] * m.n_states
+    outs = [None] * m.n_states
+    for q in range(m.n_states):
+        trans[perm[q]] = {i: perm[t] for i, t in m.transitions[q].items()}
+        outs[perm[q]] = m.outputs[q]
+    return DetMoore(m.input_alphabet, m.output_alphabet, m.n_states,
+                    perm[m.initial], tuple(trans), tuple(outs))
+
+
+def mutated(m, rng, kind):
+    """``m`` with one change: a flipped output, a dropped or redirected
+    transition, or (``same``) none."""
+    trans = [dict(row) for row in m.transitions]
+    outs = list(m.outputs)
+    q = rng.randrange(m.n_states)
+    if kind == "output":
+        outs[q] = (outs[q] + 1) % len(m.output_alphabet)
+    elif kind == "drop" and trans[q]:
+        del trans[q][rng.choice(sorted(trans[q]))]
+    elif kind == "redirect" and trans[q]:
+        i = rng.choice(sorted(trans[q]))
+        trans[q][i] = (trans[q][i] + 1) % m.n_states
+    return DetMoore(m.input_alphabet, m.output_alphabet, m.n_states, m.initial,
+                    tuple(trans), tuple(outs))
+
+
+KINDS = ("same", "output", "drop", "redirect")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_product_eq_matches_reference_on_complete_pairs(seed):
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(12):
+        n_in, n_out = rng.randint(1, 4), rng.randint(1, 3)
+        target = random_moore(rng, n_in, n_out)
+        if rng.random() < 0.25:  # an unrelated complete machine
+            hyp = random_moore(rng, n_in, n_out)
+        else:
+            kind = rng.choice(("same", "output", "redirect"))
+            hyp = renumbered(mutated(target, rng, kind), rng)
+        pairs.append((target, hyp, target, hyp))
+    verdicts = assert_eqs_match_reference(pairs, EqTestConfig(8, 12, seed))
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_product_eq_matches_reference_on_partial_pairs(seed):
+    # Partial hypotheses of complete targets, and hypotheses falling off at
+    # the same tick as a partial target (isomorphic copies, mutated or not).
+    rng = random.Random(100 + seed)
+    pairs = []
+    for _ in range(12):
+        n_in, n_out = rng.randint(1, 4), rng.randint(1, 3)
+        if rng.random() < 0.5:
+            target = random_moore(rng, n_in, n_out)
+            hyp = mutated(target, rng, "drop")
+            hyp = random_moore(rng, n_in, n_out, density=0.7) if rng.random() < 0.3 else hyp
+        else:
+            target = random_moore(rng, n_in, n_out, density=0.8)
+            hyp = mutated(target, rng, rng.choice(KINDS))
+        hyp = renumbered(hyp, rng)
+        pairs.append((target, hyp, target, hyp))
+    verdicts = assert_eqs_match_reference(pairs, EqTestConfig(8, 12, seed))
+    assert True in verdicts and False in verdicts
+
+
+def test_product_eq_matches_reference_on_initial_output_difference():
+    rng = random.Random(7)
+    pairs = []
+    for _ in range(5):
+        target = random_moore(rng, 3, 2, density=rng.choice((0.6, 1.0)))
+        outs = list(target.outputs)
+        outs[target.initial] ^= 1
+        hyp = DetMoore(target.input_alphabet, target.output_alphabet, target.n_states,
+                       target.initial, target.transitions, tuple(outs))
+        pairs.append((target, hyp, target, hyp))
+    assert assert_eqs_match_reference(pairs, EqTestConfig(8, 12, 7)) == [False] * 5
+
+
+def test_product_eq_matches_reference_with_larger_hypothesis_alphabet():
+    rng = random.Random(11)
+    pairs = []
+    for kind in KINDS * 2:
+        target = random_moore(rng, 3, 2)
+        base = mutated(target, rng, kind)
+        wide = DetMoore(
+            Alphabet(target.input_alphabet.names() + ["extra"]), base.output_alphabet,
+            base.n_states, base.initial,
+            tuple({**row, 3: rng.randrange(base.n_states)} for row in base.transitions),
+            base.outputs,
+        )
+        pairs.append((target, wide, target, wide))
+    verdicts = assert_eqs_match_reference(pairs, EqTestConfig(8, 12, 11))
+    assert True in verdicts and False in verdicts
+
+
+def partial_mmn(mmn, rng, keep):
+    """``mmn`` with each component transition kept with probability ``keep``."""
+    machines = {}
+    for c, m in mmn.machines.items():
+        trans = tuple(
+            {i: t for i, t in row.items() if rng.random() < keep} for row in m.transitions
+        )
+        machines[c] = DetMoore(m.input_alphabet, m.output_alphabet, m.n_states,
+                               m.initial, trans, m.outputs)
+    return Mmn(mmn.network, machines, check=False)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_product_eq_matches_reference_on_rebound_induced_machines(flip):
+    # As in ccwl: one hypothesis memo serves an EQ on a partial hypothesis,
+    # is rebound to a hypothesis grown from it, and serves the next EQ.
+    target = rand_mmn("star", 3, "lean", 2, mean=5)
+    full = target
+    if flip:
+        c = full.components[-1]
+        m = full.machines[c]
+        outs = (m.outputs[0],) + tuple((o + 1) % len(m.output_alphabet) for o in m.outputs[1:])
+        flipped = DetMoore(m.input_alphabet, m.output_alphabet, m.n_states,
+                           m.initial, m.transitions, outs)
+        full = Mmn(target.network, {**target.machines, c: flipped}, check=False)
+    rng = random.Random(3)
+    grown = partial_mmn(full, rng, 0.9)
+    hyps = [partial_mmn(grown, rng, 0.8), grown, full]
+    memo, sul_side = InducedMoore(hyps[0]), InducedMoore(target)
+
+    def rebound_pairs():  # consumed one EQ at a time
+        for hyp in hyps:
+            memo.rebind(hyp)  # a no-op on the first hypothesis
+            yield sul_side, memo, InducedMoore(target), InducedMoore(hyp)
+
+    verdicts = assert_eqs_match_reference(rebound_pairs(), EqTestConfig(20, 30, 5))
+    assert verdicts == [False, False, not flip]
+
+
+def restricted(m, n, drop_initial=False):
+    """``m`` over the first ``n`` input symbols only; ``drop_initial`` also
+    removes every move of the initial state."""
+    trans = [{i: t for i, t in row.items() if i < n} for row in m.transitions]
+    if drop_initial:
+        trans[m.initial] = {}
+    return DetMoore(Alphabet(m.input_alphabet.names()[:n]), m.output_alphabet,
+                    m.n_states, m.initial, tuple(trans), m.outputs)
+
+
+@pytest.mark.parametrize(
+    "seed, drop, resets",
+    [
+        (3, False, 2),  # word 1 (1, 1, 2) agrees; word 2 (3, 0, 0) holds a 3
+        (7, True, 1),  # word 1 (2, 1, 3) falls off at tick 1, before its 3
+    ],
+)
+def test_eq_rejects_word_outside_smaller_hypothesis_alphabet(seed, drop, resets):
+    # Words are charged before the check, as when the hypothesis's own
+    # ``semantics`` rejected them.
+    charged = {**QueryStats().snapshot(), "eq_count": 1,
+               "eq_resets": resets, "eq_steps": 3 * resets}
+    s = sul_for(mmn_ex(), seed=seed, words=20, length=3)
+    with pytest.raises(AlphabetError):
+        s.eq(restricted(s._mmn.materialize(), 3, drop))
+    assert s.stats.snapshot() == charged
+    s = sul_for(mmn_ex(), seed=seed, words=20, length=3)
+    with pytest.raises(AlphabetError):
+        s.eq_c("c1", restricted(s._mmn.machines["c1"], 3, drop))
+    assert s.stats.snapshot() == charged
+
+
+@pytest.mark.parametrize(
+    "spec, algorithm, ca, verdict, counts",
+    [
+        # The job whose hypotheses fall off most often: a product walk that
+        # misread a fall-off would change these counts.
+        ("rand:star3:lean:mean=5:seed=2", "ccwl", "eqk:0,d:0", "incorrect",
+         (217, 7016, 138, 143520, 18)),
+        ("binctr:5", "cwl", None, "validated", (44, 369, 6, 130260, 15)),
+    ],
+)
+def test_eq_counts_pinned_through_run_experiment(spec, algorithm, ca, verdict, counts):
+    params = CaParams.parse(*ca.split(",")) if ca else None
+    res = run_experiment(ExperimentConfig(spec, algorithm, ca_params=params, seed=0))
+    assert res.validation == verdict
+    assert (res.oq_resets, res.oq_steps, res.eq_count, res.eq_steps, res.states) == counts
 
 
 # -- exact validation --------------------------------------------------------------
