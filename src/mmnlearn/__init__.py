@@ -5,13 +5,10 @@ from .machine import (
     Counterexample,
     DetMoore,
     EQUIVALENT,
-    NondetMoore,
     StatePartition,
     equivalent,
-    identity_partition,
     partition_eq_k,
     partition_uni,
-    quotient,
 )
 from .network import InducedMoore, Mmn, Network
 from .oracles import EqTestConfig, QueryStats, Sul
@@ -22,9 +19,8 @@ from . import benchmarks, harness, serialize
 
 __all__ = [
     "Alphabet", "product_alphabet",
-    "Counterexample", "DetMoore", "EQUIVALENT", "NondetMoore", "StatePartition",
-    "equivalent", "identity_partition", "partition_eq_k", "partition_uni",
-    "quotient",
+    "Counterexample", "DetMoore", "EQUIVALENT", "StatePartition",
+    "equivalent", "partition_eq_k", "partition_uni",
     "InducedMoore", "Mmn", "Network",
     "EqTestConfig", "QueryStats", "Sul",
     "ObservationTable", "lstar",

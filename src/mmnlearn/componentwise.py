@@ -21,7 +21,6 @@ from typing import Optional
 from .lstar import LearningTimeout, OqCache, analyze_cex, lstar, table_oracle
 from .machine import (
     DetMoore,
-    NondetMoore,
     StatePartition,
     Word,
     partition_eq_k,
@@ -67,11 +66,15 @@ class CaParams:
         if self.abstraction not in (ABS_EQ, ABS_EQ_K, ABS_UNI):
             raise ValueError("unknown abstraction %r" % self.abstraction)
         if self.abstraction == ABS_EQ_K and (self.k is None or self.k < 0):
-            raise ValueError("eqk needs k >= 0")
+            raise ValueError("eqk needs k >= 0, not %r" % self.k)
+        if self.abstraction != ABS_EQ_K and self.k is not None:
+            raise ValueError("k=%r is only for eqk, not %s" % (self.k, self.abstraction))
         if self.bound not in (BOUND_INF, BOUND_DEPTH, BOUND_SUM, BOUND_MAX, BOUND_MIN):
             raise ValueError("unknown bound %r" % self.bound)
         if self.bound == BOUND_DEPTH and (self.depth is None or self.depth < 0):
-            raise ValueError("d needs depth >= 0")
+            raise ValueError("d needs depth >= 0, not %r" % self.depth)
+        if self.bound != BOUND_DEPTH and self.depth is not None:
+            raise ValueError("depth=%r is only for d, not %s" % (self.depth, self.bound))
 
     @property
     def sound(self) -> bool:
@@ -79,18 +82,27 @@ class CaParams:
 
     @staticmethod
     def parse(abstraction: str, bound: str) -> "CaParams":
+        """From CLI spellings such as ``eqk:2`` and ``d:3``."""
         a, k = abstraction, None
         if abstraction.startswith("eqk:"):
-            a, k = ABS_EQ_K, int(abstraction.split(":", 1)[1])
+            a, k = ABS_EQ_K, _spec_int(abstraction)
         b, depth = bound, None
         if bound.startswith("d:"):
-            b, depth = BOUND_DEPTH, int(bound.split(":", 1)[1])
+            b, depth = BOUND_DEPTH, _spec_int(bound)
         return CaParams(a, k, b, depth)
 
     def __str__(self) -> str:
         a = "eqk:%d" % self.k if self.abstraction == ABS_EQ_K else self.abstraction
         b = "d:%d" % self.depth if self.bound == BOUND_DEPTH else self.bound
         return "(%s,%s)" % (a, b)
+
+
+def _spec_int(spec: str) -> int:
+    """The integer after the colon of ``spec``, e.g. 2 in ``eqk:2``."""
+    try:
+        return int(spec.split(":", 1)[1])
+    except ValueError:
+        raise ValueError("%r needs an integer after ':'" % spec) from None
 
 
 @dataclass
@@ -190,10 +202,11 @@ def one_ext_er(
     configuration, emits per component every input character the component
     can receive there, paired with the access string of every row its state
     stands for.  With the ``eq`` abstraction the walk runs on the
-    deterministic hypothesis directly; ``eqk`` and ``uni`` walk the
-    nondeterministic quotients of its components under the abstraction.
-    Both walks compose the components by the network's ``wiring``, which
-    every round's hypothesis shares.  Only the quotient walk
+    deterministic hypothesis directly; ``eqk`` and ``uni`` walk the blocks
+    of each component's states under the abstraction, reading the blocks'
+    outputs and moves off the hypothesis tables, so no quotient machine is
+    built.  Both walks compose the components by the network's ``wiring``,
+    which every round's hypothesis shares.  Only the quotient walk
     enumerates output sets, so only there is that enumeration capped:
     exceeding ``OUTPUT_CAP`` at one configuration aborts with a diagnostic
     instead of dropping tuples.
@@ -205,9 +218,7 @@ def one_ext_er(
         c: _partition_for(params, hypothesis.machines[c])
         for c in hypothesis.components
     }
-    return _walk_quotient(
-        hypothesis, hypothesis.quotient_mmn(partitions), partitions, tables, depth
-    )
+    return _walk_quotient(hypothesis, partitions, tables, depth)
 
 
 def _walk_deterministic(
@@ -276,36 +287,39 @@ def _walk_deterministic(
 
 def _walk_quotient(
     hypothesis: Mmn,
-    quotients: dict[NodeId, NondetMoore],
     partitions: dict[NodeId, StatePartition],
     tables: dict[NodeId, ObservationTable],
     depth: Optional[int],
 ) -> set[tuple[NodeId, Word, int]]:
-    """Context analysis on the quotients of the hypothesis components.
+    """Context analysis on the quotients of the hypothesis components,
+    read straight off the hypothesis tables.
 
     An abstract configuration holds one block per component, and a block
-    emits every output of its states.  A component's bases at a
-    configuration are the sums of the digits its feeds read from the other
-    components' output sets.  Per block and bases, the block's targets on
-    every system input (the union over the bases plus that input's
-    system-input part) are computed once.  On a system input the successors
-    are the product of the components' targets, so a component with no
-    target blocks that input.  Every character a block receives (a base
-    plus a system-input part) is emitted with the access string of every
-    concrete row in the block.  The last level is recorded but not
-    expanded.
+    emits every output of its states (``Mmn.quotient_mmn``).  A component's
+    bases at a configuration are the sums of the digits its feeds read from
+    the other components' output sets.  Per block and bases that the walk
+    expands, the block's targets on every system input are computed once:
+    the blocks of its states' defined moves on each base plus that input's
+    system-input part.  On a system input the successors are the product of
+    the components' targets, so a component with no target blocks that
+    input.  Every character a block receives (a base plus a system-input
+    part) is emitted with the access string of every concrete row in the
+    block.  The last level records its bases and nothing more.
     """
     comps = hypothesis.components
     wiring = hypothesis.network.wiring
     sys_parts, feeds = wiring.sys_parts, wiring.feeds
-    outputs = [quotients[c].outputs for c in comps]
-    transitions = [quotients[c].transitions for c in comps]
-    # moves[k][b]: bases -> per system input, the union of block b's targets.
-    moves = [[{} for _ in trans] for trans in transitions]
+    transitions = hypothesis.transitions_by_comp
+    block_outputs = hypothesis.quotient_mmn(partitions)
+    outputs = [block_outputs[c] for c in comps]
+    block_of = [partitions[c].block_of for c in comps]
+    blocks = [partitions[c].blocks for c in comps]
+    # moves[k][b]: bases -> per system input, the blocks block b's states
+    # move to; None for bases seen only on the last level.
+    moves = [[{} for _ in bs] for bs in blocks]
 
     start = tuple(
-        partitions[c].block_of[q]
-        for c, q in zip(comps, hypothesis.initial_configuration())
+        bo[q] for bo, q in zip(block_of, hypothesis.initial_configuration())
     )
     seen = {start}
     frontier = [start]
@@ -330,11 +344,16 @@ def _walk_quotient(
                     digits = sorted({(v // stride) % size for v in out_sets[src]})
                     bases = tuple(x + d * tstride for x in bases for d in digits)
                 known = moves[k][b]
+                if not expand:
+                    known.setdefault(bases, None)
+                    continue
                 t = known.get(bases)
                 if t is None:
-                    row = transitions[k][b]
+                    bo = block_of[k]
+                    rows = [transitions[k][q] for q in blocks[k][b]]
                     t = known[bases] = [
-                        frozenset().union(*(row.get(x + p, ()) for x in bases))
+                        {bo[dest] for row in rows for x in bases
+                         if (dest := row.get(x + p)) is not None}
                         for p in sys_parts[k]
                     ]
                 targets.append(t)
@@ -357,7 +376,7 @@ def _walk_quotient(
             for known in moves[k]
         ]
         for q, s in enumerate(tables[c].S):
-            emitted.update((c, s, i) for i in received[partitions[c].block_of[q]])
+            emitted.update((c, s, i) for i in received[block_of[k][q]])
     return emitted
 
 

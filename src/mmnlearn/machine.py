@@ -1,4 +1,4 @@
-"""Deterministic and nondeterministic Moore machines.
+"""Deterministic Moore machines, their state partitions and equivalence.
 
 Machines are immutable after construction.  States are dense ints, symbols
 are alphabet ints, words are tuples of symbols.  A deterministic machine may
@@ -100,26 +100,7 @@ class DetMoore:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class NondetMoore:
-    """Nondeterministic Moore machine: set-valued transitions and outputs."""
-
-    input_alphabet: Alphabet
-    output_alphabet: Alphabet
-    n_states: int
-    initials: frozenset[int]
-    transitions: tuple[dict[int, frozenset[int]], ...]
-    outputs: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        if not all(0 <= q < self.n_states for q in self.initials):
-            raise MooreError("initial state out of range")
-        for outs in self.outputs:
-            if not outs:
-                raise MooreError("output sets must be nonempty")
-
-
-# -- partitions and quotients ---------------------------------------------
+# -- partitions ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -151,25 +132,18 @@ class StatePartition:
         return len(self.blocks)
 
 
-def identity_partition(machine) -> StatePartition:
-    return StatePartition.from_block_of(machine.n_states, range(machine.n_states))
-
-
 def partition_uni(machine) -> StatePartition:
     """One block holding every state."""
     return StatePartition.from_block_of(machine.n_states, [0] * machine.n_states)
 
 
-def partition_eq_k(machine: DetMoore, k: Optional[int]) -> StatePartition:
+def partition_eq_k(machine: DetMoore, k: int) -> StatePartition:
     """States equivalent under all output observations of length <= k.
 
-    ``k=None`` is the unbounded sentinel and yields the identity partition
-    (no quotienting).  Undefined continuations count as a pseudo-output that
-    matches only itself, so two states land in one block only when their
+    Undefined continuations count as a pseudo-output that matches only
+    itself, so two states land in one block only when their
     defined/undefined patterns agree along every word of length <= k.
     """
-    if k is None:
-        return identity_partition(machine)
     n = machine.n_states
     block_of = _group([machine.outputs[q] for q in range(n)])
     for _ in range(k):
@@ -193,33 +167,6 @@ def _group(values: list) -> list[int]:
     for v in values:
         out.append(ids.setdefault(v, len(ids)))
     return out
-
-
-def quotient(machine: DetMoore, partition: StatePartition) -> NondetMoore:
-    """Quotient Moore machine: blocks as states, unioned moves and outputs.
-
-    The result is nondeterministic and overapproximates the source's
-    defined behavior.
-    """
-    if partition.n_states != machine.n_states:
-        raise MooreError("partition is over a different state count")
-    nb = partition.n_blocks()
-    block_of = partition.block_of
-    trans: list[dict[int, set[int]]] = [dict() for _ in range(nb)]
-    outs: list[set[int]] = [set() for _ in range(nb)]
-    for q in range(machine.n_states):
-        b = block_of[q]
-        outs[b].add(machine.outputs[q])
-        for i, t in machine.transitions[q].items():
-            trans[b].setdefault(i, set()).add(block_of[t])
-    return NondetMoore(
-        machine.input_alphabet,
-        machine.output_alphabet,
-        nb,
-        frozenset((block_of[machine.initial],)),
-        tuple({i: frozenset(ts) for i, ts in row.items()} for row in trans),
-        tuple(frozenset(o) for o in outs),
-    )
 
 
 # -- equivalence ------------------------------------------------------------

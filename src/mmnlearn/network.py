@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .alphabet import Alphabet, AlphabetError, product_alphabet
-from .machine import DetMoore, NondetMoore, StatePartition, quotient, Word
+from .machine import DetMoore, StatePartition, Word
 
 NodeId = str
 Edge = tuple[NodeId, NodeId]
@@ -160,8 +160,6 @@ class Mmn:
     The network's ``wiring`` says how components compose; an ``Mmn`` adds
     the per-component transition and output tables, in ``components``
     order, whose alphabets must accord with the edge alphabets.
-    Nondeterministic quotients exist only inside context analysis
-    (``quotient_mmn`` and the quotient walk in ``componentwise``).
     """
 
     def __init__(self, network: Network, machines: dict[NodeId, DetMoore], check: bool = True):
@@ -273,13 +271,20 @@ class Mmn:
             self.system_inputs, self.system_outputs, seen, 0, tuple(trans), outputs
         )
 
-    def quotient_mmn(self, partitions: dict[NodeId, StatePartition]) -> dict[NodeId, NondetMoore]:
-        """Each component's quotient under its partition.
+    def quotient_mmn(
+        self, partitions: dict[NodeId, StatePartition]
+    ) -> dict[NodeId, tuple[frozenset[int], ...]]:
+        """Per component, the output set of each block of its partition: the
+        outputs of the block's states, in block order.
 
-        The quotients keep the component alphabets, so the network's
-        ``wiring`` still describes how they are composed.
+        These are the only per-round tables the quotient walk in
+        ``componentwise`` builds; it reads block moves off
+        ``transitions_by_comp`` for the blocks it expands.
         """
-        return {c: quotient(self.machines[c], partitions[c]) for c in self.components}
+        return {
+            c: tuple(frozenset(outputs[q] for q in block) for block in partitions[c].blocks)
+            for c, outputs in zip(self.components, self.outputs_by_comp)
+        }
 
     def simulate(self, word: Sequence[int]) -> dict[Edge, list[int]]:
         """Tick-by-tick character traces on every non-system-input edge.

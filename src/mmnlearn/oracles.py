@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .machine import Counterexample, EQUIVALENT, Word, equivalent
@@ -18,18 +19,45 @@ from .network import InducedMoore, Mmn, NodeId
 
 
 def random_word(rng: random.Random, n: int, length: int) -> Word:
-    """``tuple(rng.randrange(n) for _ in range(length))``, without a
-    ``randrange`` call per symbol: the same ``getrandbits`` draws as
-    CPython's ``_randbelow_with_getrandbits``, so the same word and state."""
+    """``tuple(rng.randrange(n) for _ in range(length))``, drawn in bulk.
+
+    ``randrange(n)`` keeps the top ``n.bit_length()`` bits of a 32-bit
+    generator output and redraws while they are ``>= n``.  For ``n <= 255``
+    those bits lie in the top byte, so the missing symbols are drawn at once
+    with ``getrandbits(32 * need)`` (outputs least significant first) and the
+    top bytes are rejected and mapped in C.  No batch draws more outputs than
+    symbols still missing, so the word and the generator state equal those
+    of the per-symbol draws, which finish a short tail and every ``n > 255``.
+    """
     getrandbits = rng.getrandbits
     k = n.bit_length()
-    word = []
-    for _ in range(length):
+    head = b""
+    need = length
+    if k <= 8:
+        table, delete = _byte_tables(n)
+        while need > 4:
+            got = getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+            got = got.translate(table, delete)
+            head += got
+            need -= len(got)
+    tail = []
+    for _ in range(need):
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
-        word.append(r)
-    return tuple(word)
+        tail.append(r)
+    return (*head, *tail)
+
+
+@lru_cache(maxsize=None)
+def _byte_tables(n: int) -> tuple[bytes, bytes]:
+    """``random_word``'s map from a top byte to its symbol below ``n``
+    (``n <= 255``), and the top bytes whose symbol is ``>= n``."""
+    shift = 8 - n.bit_length()
+    return (
+        bytes(b >> shift for b in range(256)),
+        bytes(b for b in range(256) if b >> shift >= n),
+    )
 
 
 # Marks of a product move in ``Sul._random_eq``; interned pairs are >= 0.

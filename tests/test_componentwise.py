@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -17,8 +18,10 @@ from mmnlearn.benchmarks import (
     rand_mmn,
 )
 from mmnlearn.componentwise import (
+    OUTPUT_CAP,
     CaBlowupError,
     CaParams,
+    _partition_for,
     _walk_quotient,
     analyze_cex_componentwise,
     assemble,
@@ -28,13 +31,14 @@ from mmnlearn.componentwise import (
     one_ext_er,
     resolve_depth,
 )
-from mmnlearn.machine import identity_partition
 from mmnlearn.lstar import OqCache
 from mmnlearn.network import InducedMoore
 from mmnlearn.harness import ExperimentConfig, build_sul
 from mmnlearn.oracles import EqTestConfig, Sul
 from mmnlearn.table import ObservationTable
 from tests.test_lstar import reference_hypothesis
+from tests.test_machine import identity_partition
+from tests.test_network import reference_quotient_mmn
 
 
 def fresh_tables(sul):
@@ -78,6 +82,34 @@ def test_ca_params_parse_and_soundness():
     assert not CaParams.parse("uni", "dsum").sound
     with pytest.raises(ValueError):
         CaParams("nope", None, "dinf", None)
+
+
+@pytest.mark.parametrize("abstraction, bound, quoted", [
+    ("eqk:x", "dinf", "'eqk:x'"),
+    ("eqk:", "dinf", "'eqk:'"),
+    ("eq", "d:", "'d:'"),
+    ("eq", "d:1.5", "'d:1.5'"),
+    ("eqk:-1", "dinf", "-1"),
+    ("eq", "d:-2", "-2"),
+])
+def test_ca_params_parse_errors_quote_the_spec(abstraction, bound, quoted):
+    with pytest.raises(ValueError, match=quoted):
+        CaParams.parse(abstraction, bound)
+
+
+def test_ca_params_reject_stray_k_and_depth():
+    # a k or depth the abstraction or bound does not read would print and
+    # compare differently from the parameters it stands for
+    for bad in (
+        lambda: CaParams("uni", 3),
+        lambda: CaParams("eq", 0),
+        lambda: CaParams("eq", None, "dinf", 2),
+        lambda: CaParams("eqk", 1, "dmin", 0),
+    ):
+        with pytest.raises(ValueError, match="only for"):
+            bad()
+    assert CaParams.parse("uni", "dinf") == CaParams("uni")
+    assert str(CaParams.parse("eqk:1", "d:2")) == "(eqk:1,d:2)"
 
 
 def test_resolve_depth():
@@ -158,36 +190,97 @@ def test_one_ext_abstraction_monotone():
         assert fine <= eq1 <= eq0 <= uni
 
 
-@pytest.mark.parametrize("bound", ["dinf", "d:0", "d:1", "d:2", "dmin"])
-@pytest.mark.parametrize("spec", [
-    "mmn_ex", "counter_init", "binctr:4", "mqtt",
-    "rand:star3:lean:mean=5:seed=0", "rand:compl3:rich:mean=5:seed=1",
-])
-def test_one_ext_eq_matches_generic_walk_on_identity_quotient(spec, bound):
-    # The eq abstraction walks the deterministic hypothesis directly; the
-    # generic quotient walk over identity partitions is its reference, on
-    # every round of a close/extend/EQ loop, partial hypotheses included.
-    params = CaParams.parse("eq", bound)
+def reference_walk_quotient(hypothesis, quotients, partitions, tables, depth):
+    """Context analysis on whole ``NondetMoore`` quotients of the hypothesis
+    components, every block's moves built up front: the reference for
+    ``_walk_quotient``, which reads block moves off the hypothesis tables
+    only for the blocks it expands.
+
+    An abstract configuration holds one block per component, and a block
+    emits every output of its states.  Per block and bases, the block's
+    targets on every system input (the union over the bases plus that
+    input's system-input part) are computed once, also on the last level,
+    which is recorded but not expanded.
+    """
+    comps = hypothesis.components
+    wiring = hypothesis.network.wiring
+    sys_parts, feeds = wiring.sys_parts, wiring.feeds
+    outputs = [quotients[c].outputs for c in comps]
+    transitions = [quotients[c].transitions for c in comps]
+    moves = [[{} for _ in trans] for trans in transitions]
+
+    start = tuple(
+        partitions[c].block_of[q]
+        for c, q in zip(comps, hypothesis.initial_configuration())
+    )
+    seen = {start}
+    frontier = [start]
+    level = 0
+    while frontier:
+        expand = depth is None or level < depth
+        nxt = []
+        for cfg in frontier:
+            out_sets = [o[b] for o, b in zip(outputs, cfg)]
+            combos = 1
+            for outs in out_sets:
+                combos *= len(outs)
+            if combos > OUTPUT_CAP:
+                raise CaBlowupError("reference walk hit the output cap")
+            targets = []
+            for k, b in enumerate(cfg):
+                bases = (0,)
+                for src, stride, size, tstride in feeds[k]:
+                    digits = sorted({(v // stride) % size for v in out_sets[src]})
+                    bases = tuple(x + d * tstride for x in bases for d in digits)
+                known = moves[k][b]
+                t = known.get(bases)
+                if t is None:
+                    row = transitions[k][b]
+                    t = known[bases] = [
+                        frozenset().union(*(row.get(x + p, ()) for x in bases))
+                        for p in sys_parts[k]
+                    ]
+                targets.append(t)
+            if expand:
+                for per_comp in zip(*targets):
+                    for succ in itertools.product(*per_comp):
+                        if succ not in seen:
+                            seen.add(succ)
+                            nxt.append(succ)
+        if not expand:
+            break
+        frontier = nxt
+        level += 1
+
+    emitted = set()
+    for k, c in enumerate(comps):
+        received = [
+            {x + p for bases in known for x in bases for p in sys_parts[k]}
+            for known in moves[k]
+        ]
+        for q, s in enumerate(tables[c].S):
+            emitted.update((c, s, i) for i in received[partitions[c].block_of[q]])
+    return emitted
+
+
+def assert_every_round_matches(spec, params, reference):
+    """Run a close/extend/EQ loop (exact EQs) under ``params``; on every
+    round, partial hypotheses included, ``one_ext_er`` must equal
+    ``reference(hyp, tables)``.  Returns (rounds that added extensions,
+    EQs whose counterexample falls off the hypothesis)."""
     sul = Sul(from_spec(spec), EqTestConfig(seed=0))
     tables, caches = fresh_tables(sul)
-    fell_off_rounds = 0
+    extended_rounds = fell_off_cexs = 0
     for _ in range(500):
         for c in sul.components:
             tables[c].close()
         hyp = assemble(sul, tables)
         fast = one_ext_er(hyp, params, tables)
-        partitions = {
-            c: identity_partition(hyp.machines[c]) for c in hyp.components
-        }
-        reference = _walk_quotient(
-            hyp, hyp.quotient_mmn(partitions), partitions, tables,
-            resolve_depth(params, tables),
-        )
-        assert fast == reference
+        assert fast == reference(hyp, tables)
         missing = sorted((c, s, i) for (c, s, i) in fast if s + (i,) not in tables[c])
         if missing:
             # some visited configuration has no move on some input
-            fell_off_rounds += 1
+            extended_rounds += 1
             for c, s, i in missing:
                 tables[c].add_extension(s + (i,))
             continue
@@ -195,11 +288,66 @@ def test_one_ext_eq_matches_generic_walk_on_identity_quotient(spec, bound):
         verdict = sul.exact_eq(ind)
         if verdict is True:
             break
+        if len(ind.trajectory(verdict.word)) <= len(verdict.word):
+            fell_off_cexs += 1
         analyze_cex_componentwise(ind, verdict.word, sul, tables, caches)
     else:
         pytest.fail("no convergence within 500 rounds")
-    assert fell_off_rounds > 0
+    assert extended_rounds > 0
     assert sul.validate_exact(hyp) is True
+    return extended_rounds, fell_off_cexs
+
+
+WALK_SPECS = [
+    "mmn_ex", "counter_init", "binctr:4", "mqtt",
+    "rand:star3:lean:mean=5:seed=0", "rand:compl3:rich:mean=5:seed=1",
+]
+
+
+@pytest.mark.parametrize("bound", ["dinf", "d:0", "d:1", "d:2", "dmin"])
+@pytest.mark.parametrize("spec", WALK_SPECS)
+def test_one_ext_eq_matches_generic_walk_on_identity_quotient(spec, bound):
+    # The eq abstraction walks the deterministic hypothesis directly; the
+    # reference quotient walk over identity partitions is its reference, and
+    # the library's quotient walk over them must agree too.
+    params = CaParams.parse("eq", bound)
+
+    def reference(hyp, tables):
+        partitions = {
+            c: identity_partition(hyp.machines[c]) for c in hyp.components
+        }
+        depth = resolve_depth(params, tables)
+        want = reference_walk_quotient(
+            hyp, reference_quotient_mmn(hyp, partitions), partitions, tables, depth,
+        )
+        assert _walk_quotient(hyp, partitions, tables, depth) == want
+        return want
+
+    _, fell_off = assert_every_round_matches(spec, params, reference)
+    assert (fell_off > 0) == (bound != "dinf")
+
+
+@pytest.mark.parametrize("bound", ["d:0", "d:1", "dinf", "dmin"])
+@pytest.mark.parametrize("abstraction", ["eqk:0", "eqk:1", "uni"])
+@pytest.mark.parametrize("spec", WALK_SPECS)
+def test_quotient_walk_matches_reference_quotient_walk(spec, abstraction, bound):
+    # The quotient walk reads block moves off the hypothesis tables, only
+    # for the blocks it expands; the reference walks whole quotients.
+    params = CaParams.parse(abstraction, bound)
+
+    def reference(hyp, tables):
+        partitions = {
+            c: _partition_for(params, hyp.machines[c]) for c in hyp.components
+        }
+        return reference_walk_quotient(
+            hyp, reference_quotient_mmn(hyp, partitions), partitions, tables,
+            resolve_depth(params, tables),
+        )
+
+    _, fell_off = assert_every_round_matches(spec, params, reference)
+    # Unsound bounds leave EQs partial hypotheses to fall off, except under
+    # uni, whose single block per component receives every character.
+    assert (fell_off > 0) == (bound != "dinf" and abstraction != "uni")
 
 
 _HASH_SEED_PROBE = """

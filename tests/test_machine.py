@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,13 +12,10 @@ from mmnlearn.machine import (
     DetMoore,
     EQUIVALENT,
     MooreError,
-    NondetMoore,
     StatePartition,
     equivalent,
-    identity_partition,
     partition_eq_k,
     partition_uni,
-    quotient,
 )
 from mmnlearn.network import InducedMoore
 from mmnlearn.oracles import EqTestConfig, Sul
@@ -41,6 +38,60 @@ def out_names(machine, syms):
 
 
 # -- references for the set-valued side ------------------------------------------
+
+
+@dataclass(frozen=True)
+class NondetMoore:
+    """Nondeterministic Moore machine: set-valued transitions and outputs.
+
+    The reference for what context analysis walks under a coarse
+    abstraction: ``quotient`` builds one per component, and the library's
+    quotient walk must agree with a walk over these machines."""
+
+    input_alphabet: Alphabet
+    output_alphabet: Alphabet
+    n_states: int
+    initials: frozenset
+    transitions: tuple  # per state: input sym -> frozenset of states
+    outputs: tuple  # per state: frozenset of output syms
+
+    def __post_init__(self):
+        if not all(0 <= q < self.n_states for q in self.initials):
+            raise MooreError("initial state out of range")
+        for outs in self.outputs:
+            if not outs:
+                raise MooreError("output sets must be nonempty")
+
+
+def identity_partition(machine):
+    return StatePartition.from_block_of(machine.n_states, range(machine.n_states))
+
+
+def quotient(machine, partition):
+    """Quotient Moore machine: blocks as states, unioned moves and outputs.
+
+    The result is nondeterministic and overapproximates the source's
+    defined behavior.
+    """
+    if partition.n_states != machine.n_states:
+        raise MooreError("partition is over a different state count")
+    nb = partition.n_blocks()
+    block_of = partition.block_of
+    trans = [dict() for _ in range(nb)]
+    outs = [set() for _ in range(nb)]
+    for q in range(machine.n_states):
+        b = block_of[q]
+        outs[b].add(machine.outputs[q])
+        for i, t in machine.transitions[q].items():
+            trans[b].setdefault(i, set()).add(block_of[t])
+    return NondetMoore(
+        machine.input_alphabet,
+        machine.output_alphabet,
+        nb,
+        frozenset((block_of[machine.initial],)),
+        tuple({i: frozenset(ts) for i, ts in row.items()} for row in trans),
+        tuple(frozenset(o) for o in outs),
+    )
 
 
 def wrap_nondet(machine):
@@ -163,7 +214,7 @@ def test_semantics_length_invariant():
             assert len(out) == len(word) + 1
 
 
-# -- partitions and quotients --------------------------------------------------
+# -- partitions, and the reference quotients -----------------------------------
 
 
 def test_partition_eq0_groups_by_output():
@@ -179,9 +230,10 @@ def test_partition_eq0_distinct_outputs_fig2():
     assert p.n_blocks() == 4
 
 
-def test_partition_eqk_sentinel_is_identity():
+def test_partition_eqk_distinct_outputs_is_identity():
     m = fig_c2()
-    assert partition_eq_k(m, None).blocks == identity_partition(m).blocks
+    for k in (0, 1, 5):
+        assert partition_eq_k(m, k).blocks == identity_partition(m).blocks
 
 
 def test_partition_uni():
@@ -194,7 +246,7 @@ def test_partition_refinement_chain():
     rng = random.Random(11)
     for _ in range(30):
         m = random_machine(rng, partial=True)
-        parts = [partition_eq_k(m, k) for k in range(4)] + [partition_eq_k(m, None)]
+        parts = [partition_eq_k(m, k) for k in range(4)] + [identity_partition(m)]
         for finer, coarser in zip(parts[1:], parts):
             assert refines(finer, coarser)
         assert all(refines(partition_eq_k(m, k), partition_uni(m)) for k in range(3))
@@ -225,6 +277,10 @@ def test_quotient_uni_example():
     assert q.outputs[0] == frozenset(
         m.output_alphabet.symbol(n) for n in ["(z,3)", "(w,3)", "(z,4)", "(w,4)"]
     )
+    # the library's block output sets are the reference quotient's outputs
+    mmn = mmn_ex()
+    parts = {c: partition_uni(mmn.machines[c]) for c in mmn.components}
+    assert mmn.quotient_mmn(parts)["c2"] == q.outputs
 
 
 def test_quotient_uni_semantics_example():
@@ -268,7 +324,8 @@ def test_quotient_overapproximates():
     for _ in range(40):
         m = random_machine(rng, partial=True)
         k = rng.choice([0, 1, None])
-        part = partition_eq_k(m, k) if rng.random() < 0.7 else partition_uni(m)
+        fine = partition_eq_k(m, k) if k is not None else identity_partition(m)
+        part = fine if rng.random() < 0.7 else partition_uni(m)
         q = quotient(m, part)
         word = tuple(rng.randrange(len(m.input_alphabet)) for _ in range(6))
         det = m.semantics(word)

@@ -6,12 +6,7 @@ import pytest
 import mmnlearn
 from mmnlearn.alphabet import Alphabet, AlphabetError
 from mmnlearn.benchmarks import binary_counter, counter_with_init, mmn_ex, rand_mmn
-from mmnlearn.machine import (
-    DetMoore,
-    identity_partition,
-    partition_eq_k,
-    partition_uni,
-)
+from mmnlearn.machine import DetMoore, partition_eq_k, partition_uni
 from mmnlearn.network import (
     InducedMoore,
     Mmn,
@@ -21,7 +16,7 @@ from mmnlearn.network import (
     NODE_INPUT,
     NODE_OUTPUT,
 )
-from tests.test_machine import wrap_nondet
+from tests.test_machine import identity_partition, quotient, wrap_nondet
 
 
 def names(alpha, syms):
@@ -148,10 +143,19 @@ def test_total_output_initial():
     assert m.machines["c2"].output_alphabet.name(outs[1]) == "(z,3)"
 
 
+def reference_quotient_mmn(mmn, partitions):
+    """Each component's reference quotient under its partition; the
+    quotients keep the component alphabets, so the network's ``wiring``
+    still describes how they are composed."""
+    return {c: quotient(mmn.machines[c], partitions[c]) for c in mmn.components}
+
+
 def test_uni_quotient_total_output_sets():
     m = mmn_ex()
-    q = m.quotient_mmn({c: partition_uni(m.machines[c]) for c in m.components})
+    parts = {c: partition_uni(m.machines[c]) for c in m.components}
+    q = reference_quotient_mmn(m, parts)
     assert [len(q[c].outputs[0]) for c in m.components] == [2, 4]  # 8 tuples
+    assert m.quotient_mmn(parts) == {c: q[c].outputs for c in m.components}
 
 
 def test_system_transition_example():
@@ -324,15 +328,23 @@ def test_binary_counter_carry_spacing():
 
 def test_quotient_mmn_identity_isomorphic():
     m = mmn_ex()
-    q = m.quotient_mmn({c: identity_partition(m.machines[c]) for c in m.components})
+    parts = {c: identity_partition(m.machines[c]) for c in m.components}
+    q = reference_quotient_mmn(m, parts)
     assert list(q) == m.components
     assert all(q[c] == wrap_nondet(m.machines[c]) for c in m.components)
+    outs = m.quotient_mmn(parts)
+    assert list(outs) == m.components
+    assert all(outs[c] == q[c].outputs for c in m.components)
 
 
 def test_quotient_mmn_eq0_equals_identity_on_distinct_outputs():
     m = mmn_ex()
-    q = m.quotient_mmn({c: partition_eq_k(m.machines[c], 0) for c in m.components})
+    parts = {c: partition_eq_k(m.machines[c], 0) for c in m.components}
+    q = reference_quotient_mmn(m, parts)
     assert all(q[c].n_states == m.machines[c].n_states for c in m.components)
+    outs = m.quotient_mmn(parts)
+    assert all(len(outs[c]) == m.machines[c].n_states for c in m.components)
+    assert all(outs[c] == q[c].outputs for c in m.components)
 
 
 def test_induced_step_rejects_foreign_symbol():

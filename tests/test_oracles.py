@@ -142,14 +142,17 @@ def test_eq_wrong_initial_output_found_on_first_word():
     assert verdict.word == tuple(first.randrange(n) for _ in range(260))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 16, 100, 255, 256, 1000, 2**20 + 1])
+@pytest.mark.parametrize("n", [*range(1, 301), 1000, 2**20 + 1])
 def test_random_word_is_the_randrange_stream(n):
-    for seed, length in ((0, 260), (97, 13)):
+    # n <= 255 draws batches of top bytes and a tail of at most four symbols
+    # one by one; n > 255 draws every symbol one by one.  Lengths 0-8 cover
+    # words that are all tail, 260 is the EQ default.
+    for seed, usual in ((0, 260), (97, 13)):
         ref, fast = random.Random(seed), random.Random(seed)
-        for _ in range(20):
+        for length in [usual] * 20 + [*range(9), 260]:
             expected = tuple(ref.randrange(n) for _ in range(length))
             assert random_word(fast, n, length) == expected
-        assert fast.getstate() == ref.getstate()
+            assert fast.getstate() == ref.getstate()
 
 
 def test_eq_detects_missing_transition_truncation():
