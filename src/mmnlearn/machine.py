@@ -7,7 +7,7 @@ be partial: missing transitions are simply absent from the per-state maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections import deque
 from typing import Optional, Sequence
 
@@ -105,28 +105,12 @@ class DetMoore:
 
 @dataclass(frozen=True)
 class StatePartition:
-    """Partition of a machine's states into disjoint nonempty blocks."""
+    """Partition of a machine's states into disjoint nonempty blocks,
+    numbered by smallest member."""
 
     n_states: int
     block_of: tuple[int, ...]  # state -> block index
-    blocks: tuple[tuple[int, ...], ...] = field(default=())
-
-    @staticmethod
-    def from_block_of(n_states: int, block_of: Sequence[int]) -> "StatePartition":
-        groups: dict[int, list[int]] = {}
-        for q, b in enumerate(block_of):
-            groups.setdefault(b, []).append(q)
-        # renumber blocks by smallest member for stable iteration
-        order = sorted(groups.values(), key=lambda g: g[0])
-        remap = {}
-        for new_b, g in enumerate(order):
-            for q in g:
-                remap[q] = new_b
-        return StatePartition(
-            n_states,
-            tuple(remap[q] for q in range(n_states)),
-            tuple(tuple(g) for g in order),
-        )
+    blocks: tuple[tuple[int, ...], ...]  # block index -> its states, ascending
 
     def n_blocks(self) -> int:
         return len(self.blocks)
@@ -134,7 +118,8 @@ class StatePartition:
 
 def partition_uni(machine) -> StatePartition:
     """One block holding every state."""
-    return StatePartition.from_block_of(machine.n_states, [0] * machine.n_states)
+    n = machine.n_states
+    return StatePartition(n, (0,) * n, (tuple(range(n)),))
 
 
 def partition_eq_k(machine: DetMoore, k: int) -> StatePartition:
@@ -158,10 +143,15 @@ def partition_eq_k(machine: DetMoore, k: int) -> StatePartition:
         if new == block_of:
             break
         block_of = new
-    return StatePartition.from_block_of(n, block_of)
+    blocks: list[list[int]] = [[] for _ in range(max(block_of) + 1)]
+    for q, b in enumerate(block_of):
+        blocks[b].append(q)
+    return StatePartition(n, tuple(block_of), tuple(map(tuple, blocks)))
 
 
 def _group(values: list) -> list[int]:
+    """Block ids for ``values``, numbered in first-occurrence order, so that
+    blocks are numbered by smallest member."""
     ids: dict = {}
     out = []
     for v in values:

@@ -216,30 +216,6 @@ class Mmn:
             sym += ((outs[src] // stride) % size) * tstride
         return sym
 
-    def system_output(self, config: Sequence[int]) -> int:
-        outs = self.total_output(config)
-        return sum(
-            ((outs[src] // stride) % size) * tstride
-            for src, stride, size, tstride in self.network.wiring.out_reads
-        )
-
-    def system_transition(self, config: Sequence[int], sys_in: int) -> Optional[tuple[int, ...]]:
-        """One synchronous tick (deterministic); None if any component falls off."""
-        wiring = self.network.wiring
-        outs = self.total_output(config)
-        nxt = []
-        for q, sys_part, feeds, transitions in zip(
-            config, wiring.sys_parts, wiring.feeds, self.transitions_by_comp
-        ):
-            sym = sys_part[sys_in]
-            for src, stride, size, tstride in feeds:
-                sym += ((outs[src] // stride) % size) * tstride
-            t = transitions[q].get(sym)
-            if t is None:
-                return None
-            nxt.append(t)
-        return tuple(nxt)
-
     # -- derived machines ----------------------------------------------------
 
     def materialize(self, budget: int = 10**6) -> DetMoore:
@@ -308,11 +284,20 @@ class Mmn:
 class InducedMoore:
     """The system-level Moore machine of an MMN, materialized lazily.
 
-    Configurations are interned on first visit; transition results are
-    memoized.  Every call may grow the memo tables, so an instance must not
-    be shared across threads.  Exposes the surface of DetMoore that
-    ``equivalent`` and the oracles use: ``initial``, ``step``, ``output``,
-    ``semantics`` plus the two alphabets.
+    Configurations are interned on first visit, their system output read
+    once off ``wiring.out_reads``; transition results are memoized.  Every
+    call may grow the memo, so an instance must not be shared across
+    threads.  Exposes the surface of DetMoore that ``equivalent`` and the
+    oracles use: ``initial``, ``step``, ``output``, ``semantics`` plus the
+    two alphabets.
+
+    Configurations step through one move vector per component: for state
+    ``s`` and base ``b`` (the input digits read off the other components'
+    outputs by ``wiring.feeds``), ``s``'s successors on ``b`` plus each
+    system input's part, ``None`` where undefined.  A vector is built once
+    per (component, state, base) and shared; a configuration gathers its
+    vectors on its first memo miss, and a ``None`` in a successor is a
+    fall-off.
 
     The MMN is immutable, but the memo may outlive it: ``rebind`` moves it
     to a hypothesis grown from it within one learning epoch (see ``ccwl``).
@@ -320,29 +305,89 @@ class InducedMoore:
 
     def __init__(self, mmn: Mmn):
         self.mmn = mmn
-        self.input_alphabet = mmn.system_inputs
-        self.output_alphabet = mmn.system_outputs
-        self._configs: list[tuple[int, ...]] = [mmn.initial_configuration()]
-        self._ids: dict[tuple[int, ...], int] = {self._configs[0]: 0}
-        self._trans: list[dict[int, Optional[int]]] = [dict()]
-        self._outs: list[int] = [mmn.system_output(self._configs[0])]
+        self._wiring = wiring = mmn.network.wiring
+        self.input_alphabet = wiring.system_inputs
+        self.output_alphabet = wiring.system_outputs
+        # Per component, state * |input alphabet| + base -> move vector; the
+        # vectors holding a None apart, as a rebind drops them.
+        self._complete: list[dict[int, list[Optional[int]]]] = [dict() for _ in mmn.components]
+        self._pending: list[dict[int, list[Optional[int]]]] = [dict() for _ in mmn.components]
+        self._key_strides = [len(wiring.input_alphabets[c]) for c in mmn.components]
+        self._configs: list[tuple[int, ...]] = []
+        self._ids: dict[tuple[int, ...], int] = {}
+        self._trans: list[dict[int, Optional[int]]] = []
+        self._outs: list[int] = []
+        self._vecs: list[Optional[list[list[Optional[int]]]]] = []  # per configuration
+        self._partial: list[int] = []  # configurations whose vectors hold a None
         self._falloffs: list[tuple[int, int]] = []  # (q, i) memoized as None
+        self._intern(mmn.initial_configuration())
 
     initial = 0
 
     def rebind(self, mmn: Mmn) -> None:
-        """Continue on ``mmn``, grown from the current MMN within an epoch;
-        memoized fall-offs are forgotten, as a new transition may define them."""
+        """Continue on ``mmn``, grown from the current MMN within an epoch.
+
+        Growth only adds states and transitions, so interned outputs and
+        complete move vectors stay valid.  Vectors holding a ``None``, the
+        configurations' vector lists that reference them and the memoized
+        fall-offs are forgotten, as a new transition may define them."""
         self.mmn = mmn
         for q, i in self._falloffs:
             del self._trans[q][i]
         self._falloffs = []
+        for q in self._partial:
+            self._vecs[q] = None
+        self._partial = []
+        for pending in self._pending:
+            pending.clear()
 
     def configuration(self, q: int) -> tuple[int, ...]:
         return self._configs[q]
 
     def n_explored(self) -> int:
         return len(self._configs)
+
+    def _intern(self, config: tuple[int, ...]) -> int:
+        q = len(self._configs)
+        self._ids[config] = q
+        self._configs.append(config)
+        self._trans.append(dict())
+        self._vecs.append(None)
+        outputs = self.mmn.outputs_by_comp
+        out = 0
+        for src, stride, size, tstride in self._wiring.out_reads:
+            out += ((outputs[src][config[src]] // stride) % size) * tstride
+        self._outs.append(out)
+        return q
+
+    def _vectors(self, q: int) -> list[list[Optional[int]]]:
+        """Configuration ``q``'s move vectors, one per component."""
+        config = self._configs[q]
+        wiring, mmn = self._wiring, self.mmn
+        outs = [o[s] for o, s in zip(mmn.outputs_by_comp, config)]
+        vecs = []
+        partial = False
+        for s, feeds, sys_part, transitions, complete, pending, stride in zip(
+            config, wiring.feeds, wiring.sys_parts, mmn.transitions_by_comp,
+            self._complete, self._pending, self._key_strides,
+        ):
+            base = 0
+            for src, dstride, size, tstride in feeds:
+                base += ((outs[src] // dstride) % size) * tstride
+            key = s * stride + base
+            vec = complete.get(key)
+            if vec is None:
+                vec = pending.get(key)
+                if vec is None:
+                    row = transitions[s]
+                    vec = [row.get(base + p) for p in sys_part]
+                    (pending if None in vec else complete)[key] = vec
+                partial = partial or None in vec
+            vecs.append(vec)
+        if partial:
+            self._partial.append(q)
+        self._vecs[q] = vecs
+        return vecs
 
     def step(self, q: int, i: int) -> Optional[int]:
         row = self._trans[q]
@@ -351,32 +396,27 @@ class InducedMoore:
         # Only system inputs are ever memoized, so a hit needs no check.
         if i not in self.input_alphabet:
             raise AlphabetError("input symbol %d not in system alphabet" % i)
-        nxt = self.mmn.system_transition(self._configs[q], i)
-        if nxt is None:
+        nxt = tuple([vec[i] for vec in self._vecs[q] or self._vectors(q)])
+        if None in nxt:
             row[i] = None
             self._falloffs.append((q, i))
             return None
         t = self._ids.get(nxt)
         if t is None:
-            t = len(self._configs)
-            self._ids[nxt] = t
-            self._configs.append(nxt)
-            self._trans.append(dict())
-            self._outs.append(self.mmn.system_output(nxt))
+            t = self._intern(nxt)
         row[i] = t
         return t
 
     def output(self, q: int) -> int:
         return self._outs[q]
 
-    def semantics(self, word: Sequence[int], q: Optional[int] = None) -> Word:
-        """Like ``DetMoore.semantics``: the whole word is checked first, so a
-        foreign symbol raises ``AlphabetError`` even after a fall-off."""
+    def _walk(self, word: Sequence[int], q: int, record: list) -> list:
+        """``record`` at each state a run from ``q`` visits, up to the first
+        fall-off; the whole word is checked first, so a foreign symbol
+        raises ``AlphabetError`` even after a fall-off."""
         self.input_alphabet.check_word(word)
-        if q is None:
-            q = self.initial
-        trans, outs = self._trans, self._outs
-        out = [outs[q]]
+        trans = self._trans
+        out = [record[q]]
         for i in word:
             nxt = trans[q].get(i, -1)  # -1: memo miss; None: fall-off
             if nxt == -1:
@@ -384,18 +424,14 @@ class InducedMoore:
             if nxt is None:
                 break
             q = nxt
-            out.append(outs[q])
-        return tuple(out)
+            out.append(record[q])
+        return out
+
+    def semantics(self, word: Sequence[int], q: Optional[int] = None) -> Word:
+        """Like ``DetMoore.semantics``."""
+        return tuple(self._walk(word, self.initial if q is None else q, self._outs))
 
     def trajectory(self, word: Sequence[int]) -> list[tuple[int, ...]]:
         """The configurations a run visits, the initial one first, up to the
         first fall-off; the word is checked like in ``semantics``."""
-        self.input_alphabet.check_word(word)
-        q = self.initial
-        configs = [self._configs[q]]
-        for i in word:
-            q = self.step(q, i)
-            if q is None:
-                break
-            configs.append(self._configs[q])
-        return configs
+        return self._walk(word, self.initial, self._configs)

@@ -37,8 +37,8 @@ from mmnlearn.harness import ExperimentConfig, build_sul
 from mmnlearn.oracles import EqTestConfig, Sul
 from mmnlearn.table import ObservationTable
 from tests.test_lstar import reference_hypothesis
-from tests.test_machine import identity_partition
-from tests.test_network import reference_quotient_mmn
+from tests.test_machine import identity_partition, partition_from_block_of
+from tests.test_network import memo_entries_agree, reference_quotient_mmn
 
 
 def fresh_tables(sul):
@@ -328,20 +328,32 @@ def test_one_ext_eq_matches_generic_walk_on_identity_quotient(spec, bound):
 
 
 @pytest.mark.parametrize("bound", ["d:0", "d:1", "dinf", "dmin"])
-@pytest.mark.parametrize("abstraction", ["eqk:0", "eqk:1", "uni"])
+@pytest.mark.parametrize("abstraction", ["eqk:0", "eqk:1", "uni", "pairs"])
 @pytest.mark.parametrize("spec", WALK_SPECS)
 def test_quotient_walk_matches_reference_quotient_walk(spec, abstraction, bound):
     # The quotient walk reads block moves off the hypothesis tables, only
     # for the blocks it expands; the reference walks whole quotients.
-    params = CaParams.parse(abstraction, bound)
+    # "pairs" is a hand-made partition, neither eqk nor uni, merging states
+    # 2j and 2j+1 whatever their outputs: its blocks read several bases and
+    # reach several blocks, which no built-in abstraction shows.  Its rounds
+    # are driven by eqk:0.
+    params = CaParams.parse("eqk:0" if abstraction == "pairs" else abstraction, bound)
 
     def reference(hyp, tables):
+        depth = resolve_depth(params, tables)
+        if abstraction == "pairs":
+            pairs = {
+                c: partition_from_block_of(m.n_states, [q // 2 for q in range(m.n_states)])
+                for c, m in hyp.machines.items()
+            }
+            assert _walk_quotient(hyp, pairs, tables, depth) == reference_walk_quotient(
+                hyp, reference_quotient_mmn(hyp, pairs), pairs, tables, depth,
+            )
         partitions = {
             c: _partition_for(params, hyp.machines[c]) for c in hyp.components
         }
         return reference_walk_quotient(
-            hyp, reference_quotient_mmn(hyp, partitions), partitions, tables,
-            resolve_depth(params, tables),
+            hyp, reference_quotient_mmn(hyp, partitions), partitions, tables, depth,
         )
 
     _, fell_off = assert_every_round_matches(spec, params, reference)
@@ -556,20 +568,6 @@ def test_ccwl_rounds_share_the_network_wiring(monkeypatch):
     assert res.mmn is hypotheses[-1] and len(hypotheses) > 1
     assert products == []
     assert {id(h.network.wiring) for h in hypotheses} == {id(sul.network.wiring)}
-
-
-def memo_entries_agree(ind):
-    """Check every memo entry of ``ind`` (output, move or fall-off) against
-    its current MMN; return how many moves were checked."""
-    hyp, checked = ind.mmn, 0
-    for q in range(ind.n_explored()):
-        config = ind.configuration(q)
-        assert ind.output(q) == hyp.system_output(config)
-        for i, t in ind._trans[q].items():
-            want = hyp.system_transition(config, i)
-            assert want is None if t is None else ind.configuration(t) == want
-            checked += 1
-    return checked
 
 
 @pytest.mark.parametrize("ca", ["eq,dinf", "eqk:0,d:0", "eq,dmin"])

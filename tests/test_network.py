@@ -143,6 +143,31 @@ def test_total_output_initial():
     assert m.machines["c2"].output_alphabet.name(outs[1]) == "(z,3)"
 
 
+def reference_system_output(mmn, config):
+    """The system output at ``config``, decoded from the per-component
+    outputs: the reference for ``InducedMoore``'s interned outputs."""
+    outs = mmn.total_output(config)
+    return sum(
+        ((outs[src] // stride) % size) * tstride
+        for src, stride, size, tstride in mmn.network.wiring.out_reads
+    )
+
+
+def reference_system_transition(mmn, config, sys_in):
+    """One synchronous tick, every component's input character recomputed
+    from the system input and the per-component outputs; None if any
+    component falls off.  The reference for ``InducedMoore``'s move
+    vectors."""
+    outs = mmn.total_output(config)
+    nxt = []
+    for c, q, transitions in zip(mmn.components, config, mmn.transitions_by_comp):
+        t = transitions[q].get(mmn.component_input(c, sys_in, outs))
+        if t is None:
+            return None
+        nxt.append(t)
+    return tuple(nxt)
+
+
 def reference_quotient_mmn(mmn, partitions):
     """Each component's reference quotient under its partition; the
     quotients keep the component alphabets, so the network's ``wiring``
@@ -161,8 +186,10 @@ def test_uni_quotient_total_output_sets():
 def test_system_transition_example():
     m = mmn_ex()
     cfg = m.initial_configuration()
-    nxt = m.system_transition(cfg, m.system_inputs.symbol("(a,c)"))
-    assert nxt == (1, 0)  # c1 latches, c2 loops
+    i = m.system_inputs.symbol("(a,c)")
+    assert reference_system_transition(m, cfg, i) == (1, 0)  # c1 latches, c2 loops
+    ind = InducedMoore(m)
+    assert ind.configuration(ind.step(ind.initial, i)) == (1, 0)
 
 
 def test_system_transition_fixed_point():
@@ -175,14 +202,15 @@ def test_system_transition_fixed_point():
         1, 0, ({0: 0},), (0,),
     )
     mmn = Mmn(net, {"c": m})
-    assert mmn.system_transition((0,), 0) == (0,)
+    assert reference_system_transition(mmn, (0,), 0) == (0,)
+    assert InducedMoore(mmn).step(0, 0) == 0
 
 
 def test_system_transition_absent_when_component_stuck():
     m = mmn_ex()
     # configuration with c2 in its transition-less (z,4) state
     for i in m.system_inputs:
-        assert m.system_transition((1, 2), i) is None
+        assert reference_system_transition(m, (1, 2), i) is None
     # started in c2's state 1, c1's first output sends c2 into (z,4),
     # where the run stops
     stuck = Mmn(m.network, {**m.machines, "c2": replace(m.machines["c2"], initial=1)})
@@ -243,13 +271,154 @@ def test_induced_consistency_with_system_transition():
         cfg = m.initial_configuration()
         for i in word:
             nxt_q = ind.step(q, i)
-            nxt_cfg = m.system_transition(cfg, i)
+            nxt_cfg = reference_system_transition(m, cfg, i)
             assert (nxt_q is None) == (nxt_cfg is None)
             if nxt_q is None:
                 break
             assert ind.configuration(nxt_q) == nxt_cfg
-            assert ind.output(nxt_q) == m.system_output(nxt_cfg)
+            assert ind.output(nxt_q) == reference_system_output(m, nxt_cfg)
             q, cfg = nxt_q, nxt_cfg
+
+
+def reference_trajectory(mmn, word):
+    """The configurations a run on ``word`` visits, up to the first
+    fall-off, stepped by ``reference_system_transition``."""
+    configs = [mmn.initial_configuration()]
+    for i in word:
+        nxt = reference_system_transition(mmn, configs[-1], i)
+        if nxt is None:
+            break
+        configs.append(nxt)
+    return configs
+
+
+def memo_entries_agree(ind):
+    """Check every memo entry of ``ind`` (output, move or fall-off) against
+    its current MMN; return how many moves were checked."""
+    mmn, checked = ind.mmn, 0
+    for q in range(ind.n_explored()):
+        config = ind.configuration(q)
+        assert ind.output(q) == reference_system_output(mmn, config)
+        for i, t in ind._trans[q].items():
+            want = reference_system_transition(mmn, config, i)
+            assert want is None if t is None else ind.configuration(t) == want
+            checked += 1
+    return checked
+
+
+def assert_runs_match_reference(ind, rng, n_words=30, length=12):
+    """Random runs of ``ind`` and a bounded breadth-first expansion of its
+    memo agree with the reference tick; returns how many runs fell off."""
+    mmn = ind.mmn
+    fell_off = 0
+    for _ in range(n_words):
+        word = tuple(rng.randrange(len(mmn.system_inputs)) for _ in range(length))
+        configs = reference_trajectory(mmn, word)
+        assert ind.trajectory(word) == configs
+        assert ind.semantics(word) == tuple(reference_system_output(mmn, c) for c in configs)
+        fell_off += len(configs) <= len(word)
+    frontier = [ind.initial]
+    seen = {ind.initial}
+    while frontier and len(seen) < 300:
+        q = frontier.pop(0)
+        for i in ind.input_alphabet:
+            t = ind.step(q, i)
+            if t is not None and t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    assert memo_entries_agree(ind) > 0
+    return fell_off
+
+
+def growing_mmns(mmn, rng, keeps):
+    """Hypotheses grown from one another as within a ``ccwl`` epoch: the
+    ``j``-th keeps each component transition of ``mmn`` whose random rank
+    lies below ``keeps[j]``, so it keeps every transition of those before."""
+    rank = {
+        (c, q, i): rng.random()
+        for c, m in mmn.machines.items()
+        for q, row in enumerate(m.transitions)
+        for i in row
+    }
+    grown = []
+    for keep in keeps:
+        machines = {
+            c: replace(m, transitions=tuple(
+                {i: t for i, t in row.items() if rank[c, q, i] < keep}
+                for q, row in enumerate(m.transitions)
+            ))
+            for c, m in mmn.machines.items()
+        }
+        grown.append(Mmn(mmn.network, machines, check=False))
+    return grown
+
+
+KERNEL_MMNS = [
+    ("star", 3, "lean"), ("compl", 3, "lean"), ("path", 3, "lean"),
+    ("star", 2, "rich"), ("compl", 2, "rich"),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("topology,k,kind", KERNEL_MMNS)
+def test_induced_kernel_matches_reference_on_random_mmns(topology, k, kind, seed):
+    m = rand_mmn(topology, k, kind, seed, mean=4)
+    assert assert_runs_match_reference(InducedMoore(m), random.Random(seed)) == 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("topology,k,kind", KERNEL_MMNS)
+def test_induced_kernel_matches_reference_on_partial_hypotheses(topology, k, kind, seed):
+    rng = random.Random(seed)
+    fell_off = 0
+    for hyp in growing_mmns(rand_mmn(topology, k, kind, seed, mean=4), rng, [0.6, 0.85]):
+        fell_off += assert_runs_match_reference(InducedMoore(hyp), rng)
+    assert fell_off > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("topology,k,kind", KERNEL_MMNS)
+def test_rebound_kernel_matches_reference(topology, k, kind, seed):
+    # One memo carried along hypotheses grown from one another, as in a
+    # ccwl epoch: after every rebind it agrees with a fresh reference, and
+    # some move vector cached partial before a rebind is complete after it.
+    rng = random.Random(seed)
+    hyps = growing_mmns(rand_mmn(topology, k, kind, seed, mean=4), rng, [0.5, 0.7, 0.85, 1.0])
+    ind = InducedMoore(hyps[0])
+    completed = 0
+    for hyp in hyps:
+        partial = [(j, key) for j, pending in enumerate(ind._pending) for key in pending]
+        ind.rebind(hyp)
+        assert not any(ind._pending)
+        assert_runs_match_reference(ind, rng)
+        completed += sum(key in ind._complete[j] for j, key in partial)
+    assert completed > 0
+
+
+def test_rebind_completes_a_partial_move_vector():
+    # c1 lacks its move on (a,3) in its initial state; stepping the initial
+    # configuration on (b,c) builds c1's vector, partial on the a inputs.
+    m = mmn_ex()
+    c1 = m.machines["c1"]
+    a3 = c1.input_alphabet.symbol("(a,3)")
+    trans = list(c1.transitions)
+    trans[c1.initial] = {i: t for i, t in trans[c1.initial].items() if i != a3}
+    hyp = Mmn(m.network, {**m.machines, "c1": replace(c1, transitions=tuple(trans))})
+    ac, bc = m.system_inputs.symbol("(a,c)"), m.system_inputs.symbol("(b,c)")
+    ind = InducedMoore(hyp)
+    assert ind.step(0, bc) is not None
+    assert [len(p) for p in ind._pending] == [1, 0]
+    assert [len(c) for c in ind._complete] == [0, 1]
+    assert ind.step(0, ac) is None
+    (c2_key, c2_vec), = ind._complete[1].items()
+    ind.rebind(m)
+    assert ind.configuration(ind.step(0, ac)) == reference_system_transition(
+        m, m.initial_configuration(), ac
+    )
+    # c1's vector is rebuilt complete; c2's complete vector is kept, not rebuilt.
+    assert [len(p) for p in ind._pending] == [0, 0]
+    assert len(ind._complete[0]) == 1 and ind._complete[1][c2_key] is c2_vec
+    assert memo_entries_agree(ind) == 2
 
 
 def test_package_exports_resolve():
