@@ -295,9 +295,9 @@ class InducedMoore:
     ``s`` and base ``b`` (the input digits read off the other components'
     outputs by ``wiring.feeds``), ``s``'s successors on ``b`` plus each
     system input's part, ``None`` where undefined.  A vector is built once
-    per (component, state, base) and shared; a configuration gathers its
-    vectors on its first memo miss, and a ``None`` in a successor is a
-    fall-off.
+    per (component, state, base) between rebinds and shared; a
+    configuration gathers its vectors on its first memo miss, and a
+    ``None`` in a successor is a fall-off.
 
     The MMN is immutable, but the memo may outlive it: ``rebind`` moves it
     to a hypothesis grown from it within one learning epoch (see ``ccwl``).
@@ -308,17 +308,14 @@ class InducedMoore:
         self._wiring = wiring = mmn.network.wiring
         self.input_alphabet = wiring.system_inputs
         self.output_alphabet = wiring.system_outputs
-        # Per component, state * |input alphabet| + base -> move vector; the
-        # vectors holding a None apart, as a rebind drops them.
-        self._complete: list[dict[int, list[Optional[int]]]] = [dict() for _ in mmn.components]
-        self._pending: list[dict[int, list[Optional[int]]]] = [dict() for _ in mmn.components]
+        # Per component, state * |input alphabet| + base -> move vector.
+        self._moves: list[dict[int, list[Optional[int]]]] = [dict() for _ in mmn.components]
         self._key_strides = [len(wiring.input_alphabets[c]) for c in mmn.components]
         self._configs: list[tuple[int, ...]] = []
         self._ids: dict[tuple[int, ...], int] = {}
         self._trans: list[dict[int, Optional[int]]] = []
         self._outs: list[int] = []
         self._vecs: list[Optional[list[list[Optional[int]]]]] = []  # per configuration
-        self._partial: list[int] = []  # configurations whose vectors hold a None
         self._falloffs: list[tuple[int, int]] = []  # (q, i) memoized as None
         self._intern(mmn.initial_configuration())
 
@@ -327,19 +324,17 @@ class InducedMoore:
     def rebind(self, mmn: Mmn) -> None:
         """Continue on ``mmn``, grown from the current MMN within an epoch.
 
-        Growth only adds states and transitions, so interned outputs and
-        complete move vectors stay valid.  Vectors holding a ``None``, the
-        configurations' vector lists that reference them and the memoized
-        fall-offs are forgotten, as a new transition may define them."""
+        Growth only adds states and transitions, so interned configurations,
+        their outputs and the memoized moves stay valid.  The memoized
+        fall-offs and the move vectors are forgotten, as a new transition may
+        define a move they hold undefined."""
         self.mmn = mmn
         for q, i in self._falloffs:
             del self._trans[q][i]
         self._falloffs = []
-        for q in self._partial:
-            self._vecs[q] = None
-        self._partial = []
-        for pending in self._pending:
-            pending.clear()
+        for moves in self._moves:
+            moves.clear()
+        self._vecs = [None] * len(self._configs)
 
     def configuration(self, q: int) -> tuple[int, ...]:
         return self._configs[q]
@@ -366,26 +361,19 @@ class InducedMoore:
         wiring, mmn = self._wiring, self.mmn
         outs = [o[s] for o, s in zip(mmn.outputs_by_comp, config)]
         vecs = []
-        partial = False
-        for s, feeds, sys_part, transitions, complete, pending, stride in zip(
+        for s, feeds, sys_part, transitions, moves, stride in zip(
             config, wiring.feeds, wiring.sys_parts, mmn.transitions_by_comp,
-            self._complete, self._pending, self._key_strides,
+            self._moves, self._key_strides,
         ):
             base = 0
             for src, dstride, size, tstride in feeds:
                 base += ((outs[src] // dstride) % size) * tstride
             key = s * stride + base
-            vec = complete.get(key)
+            vec = moves.get(key)
             if vec is None:
-                vec = pending.get(key)
-                if vec is None:
-                    row = transitions[s]
-                    vec = [row.get(base + p) for p in sys_part]
-                    (pending if None in vec else complete)[key] = vec
-                partial = partial or None in vec
+                row = transitions[s]
+                vec = moves[key] = [row.get(base + p) for p in sys_part]
             vecs.append(vec)
-        if partial:
-            self._partial.append(q)
         self._vecs[q] = vecs
         return vecs
 

@@ -381,18 +381,22 @@ def test_induced_kernel_matches_reference_on_partial_hypotheses(topology, k, kin
 def test_rebound_kernel_matches_reference(topology, k, kind, seed):
     # One memo carried along hypotheses grown from one another, as in a
     # ccwl epoch: after every rebind it agrees with a fresh reference, and
-    # some move vector cached partial before a rebind is complete after it.
+    # some move undefined before a rebind is defined after it.
     rng = random.Random(seed)
     hyps = growing_mmns(rand_mmn(topology, k, kind, seed, mean=4), rng, [0.5, 0.7, 0.85, 1.0])
     ind = InducedMoore(hyps[0])
-    completed = 0
+    undefined, defined = [], 0
     for hyp in hyps:
-        partial = [(j, key) for j, pending in enumerate(ind._pending) for key in pending]
         ind.rebind(hyp)
-        assert not any(ind._pending)
+        defined += sum(ind.step(q, i) is not None for q, i in undefined)
         assert_runs_match_reference(ind, rng)
-        completed += sum(key in ind._complete[j] for j, key in partial)
-    assert completed > 0
+        undefined = [
+            (q, i)
+            for q in range(ind.n_explored())
+            for i in ind.input_alphabet
+            if ind.step(q, i) is None
+        ]
+    assert defined > 0
 
 
 def test_rebind_completes_a_partial_move_vector():
@@ -407,17 +411,11 @@ def test_rebind_completes_a_partial_move_vector():
     ac, bc = m.system_inputs.symbol("(a,c)"), m.system_inputs.symbol("(b,c)")
     ind = InducedMoore(hyp)
     assert ind.step(0, bc) is not None
-    assert [len(p) for p in ind._pending] == [1, 0]
-    assert [len(c) for c in ind._complete] == [0, 1]
     assert ind.step(0, ac) is None
-    (c2_key, c2_vec), = ind._complete[1].items()
     ind.rebind(m)
     assert ind.configuration(ind.step(0, ac)) == reference_system_transition(
         m, m.initial_configuration(), ac
     )
-    # c1's vector is rebuilt complete; c2's complete vector is kept, not rebuilt.
-    assert [len(p) for p in ind._pending] == [0, 0]
-    assert len(ind._complete[0]) == 1 and ind._complete[1][c2_key] is c2_vec
     assert memo_entries_agree(ind) == 2
 
 
