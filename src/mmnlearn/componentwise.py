@@ -195,94 +195,40 @@ def one_ext_er(
     hypothesis: Mmn,
     params: CaParams,
     tables: dict[NodeId, ObservationTable],
+    induced: Optional[InducedMoore] = None,
 ) -> set[tuple[NodeId, Word, int]]:
     """Contextual completion rule.
 
     Runs (depth-bounded) BFS over configurations and, for every visited
     configuration, emits per component every input character the component
     can receive there, paired with the access string of every row its state
-    stands for.  With the ``eq`` abstraction the walk runs on the
-    deterministic hypothesis directly; ``eqk`` and ``uni`` walk the blocks
-    of each component's states under the abstraction, reading the blocks'
-    outputs and moves off the hypothesis tables, so no quotient machine is
-    built.  Both walks compose the components by the network's ``wiring``,
-    which every round's hypothesis shares.  Only the quotient walk
-    enumerates output sets, so only there is that enumeration capped:
+    stands for.  With the ``eq`` abstraction the walk is
+    ``InducedMoore.contexts`` over ``induced``, the epoch's system machine
+    bound to ``hypothesis`` (fresh if not passed): it resumes the epoch's
+    last walk under ``dinf``, re-walks the memo under every other bound, and
+    returns the full proposal set either way.  ``eqk`` and ``uni`` walk the
+    blocks of each component's states under the abstraction, reading the
+    blocks' outputs and moves off the hypothesis tables, so no quotient
+    machine is built.  Both walks compose the components by the network's
+    ``wiring``, which every round's hypothesis shares.  Only the quotient
+    walk enumerates output sets, so only there is that enumeration capped:
     exceeding ``OUTPUT_CAP`` at one configuration aborts with a diagnostic
     instead of dropping tuples.
     """
     depth = resolve_depth(params, tables)
     if params.abstraction == ABS_EQ:
-        return _walk_deterministic(hypothesis, tables, depth)
+        received = (induced or InducedMoore(hypothesis)).contexts(depth)
+        sys_parts = hypothesis.network.wiring.sys_parts
+        return {
+            (c, tables[c].S[s], b + p)
+            for c, pairs, sys_part in zip(hypothesis.components, received, sys_parts)
+            for s, b in pairs for p in sys_part
+        }
     partitions = {
         c: _partition_for(params, hypothesis.machines[c])
         for c in hypothesis.components
     }
     return _walk_quotient(hypothesis, partitions, tables, depth)
-
-
-def _walk_deterministic(
-    hypothesis: Mmn,
-    tables: dict[NodeId, ObservationTable],
-    depth: Optional[int],
-) -> set[tuple[NodeId, Word, int]]:
-    """Context analysis on a deterministic hypothesis, one pass per
-    configuration.
-
-    A component's input character is the sum of a part read from the system
-    input and a part read from the other components' current outputs (its
-    base), as the network's ``wiring`` lays out; the hypothesis supplies
-    only its transition and output tables.  Per component state and base,
-    the characters for every system input and the states they lead to are
-    computed once; the characters are what the state receives, the states
-    step the configuration.  A configuration has no successor on a system
-    input on which some component has no transition.  The last level is
-    recorded but not expanded.
-    """
-    wiring = hypothesis.network.wiring
-    sys_parts, feeds = wiring.sys_parts, wiring.feeds
-    transitions, outputs = hypothesis.transitions_by_comp, hypothesis.outputs_by_comp
-    # moves[k][q]: base -> successor of component k's state q per system
-    # input (None where undefined); its keys are the bases q receives.
-    moves = [[{} for _ in trans] for trans in transitions]
-
-    start = hypothesis.initial_configuration()
-    seen = {start}
-    frontier = [start]
-    level = 0
-    while frontier:
-        expand = depth is None or level < depth
-        nxt = []
-        for cfg in frontier:
-            outs = [o[q] for o, q in zip(outputs, cfg)]
-            targets = []
-            for k, q in enumerate(cfg):
-                base = 0
-                for src, stride, size, tstride in feeds[k]:
-                    base += ((outs[src] // stride) % size) * tstride
-                known = moves[k][q]
-                t = known.get(base)
-                if t is None:
-                    row = transitions[k][q]
-                    t = known[base] = [row.get(base + p) for p in sys_parts[k]]
-                targets.append(t)
-            if expand:
-                for succ in zip(*targets):
-                    if None not in succ and succ not in seen:
-                        seen.add(succ)
-                        nxt.append(succ)
-        if not expand:
-            break
-        frontier = nxt
-        level += 1
-
-    emitted: set[tuple[NodeId, Word, int]] = set()
-    for k, c in enumerate(hypothesis.components):
-        access = tables[c].S
-        for q, known in enumerate(moves[k]):
-            s = access[q]
-            emitted.update((c, s, b + p) for b in known for p in sys_parts[k])
-    return emitted
 
 
 def _walk_quotient(
@@ -449,9 +395,11 @@ def ccwl(
     ``memoize`` acts per component as in :func:`lstar`.
 
     Between two suffix additions (an *epoch*) hypotheses only gain states
-    and transitions: each hypothesis is immutable, but the EQs of an epoch
-    share one ``InducedMoore`` memo, rebound to each new hypothesis, whose
-    non-initial configurations ``event_log`` reports per EQ (``known``)."""
+    and transitions: each hypothesis is immutable, but the rounds of an
+    epoch share one ``InducedMoore`` memo, rebound to each new hypothesis.
+    The ``eq`` context analysis walks it (see :func:`one_ext_er`) and the
+    EQs run on it, so the non-initial configurations that ``event_log``
+    reports per EQ (``known``) include those the analysis interned."""
     eq = eq or sul.eq
     caches: dict[NodeId, OqCache] = {}
     tables: dict[NodeId, ObservationTable] = {}
@@ -472,7 +420,9 @@ def ccwl(
         for c in sul.components:
             tables[c].close()
         hypothesis = assemble(sul, tables)
-        proposals = one_ext_er(hypothesis, params, tables)
+        induced = induced or InducedMoore(hypothesis)  # one per epoch
+        induced.rebind(hypothesis)
+        proposals = one_ext_er(hypothesis, params, tables, induced)
         missing = sorted(
             (c, s, i) for (c, s, i) in proposals if s + (i,) not in tables[c]
         )
@@ -485,8 +435,6 @@ def ccwl(
                 tables[c].add_extension(s + (i,))
             continue
         eq_calls += 1
-        induced = induced or InducedMoore(hypothesis)  # one per epoch
-        induced.rebind(hypothesis)
         if event_log is not None:
             event_log.append(
                 "eq issued n=%d known=%d" % (eq_calls, induced.n_explored() - 1)

@@ -301,6 +301,8 @@ class InducedMoore:
 
     The MMN is immutable, but the memo may outlive it: ``rebind`` moves it
     to a hypothesis grown from it within one learning epoch (see ``ccwl``).
+    Context analysis walks the memo too (``contexts``), so the configurations
+    it interns and expands are the ones the epoch's EQs start on.
     """
 
     def __init__(self, mmn: Mmn):
@@ -317,6 +319,7 @@ class InducedMoore:
         self._outs: list[int] = []
         self._vecs: list[Optional[list[list[Optional[int]]]]] = []  # per configuration
         self._falloffs: list[tuple[int, int]] = []  # (q, i) memoized as None
+        self._reached: Optional[tuple] = None  # contexts(None): seen, pairs, fall-offs
         self._intern(mmn.initial_configuration())
 
     initial = 0
@@ -325,9 +328,10 @@ class InducedMoore:
         """Continue on ``mmn``, grown from the current MMN within an epoch.
 
         Growth only adds states and transitions, so interned configurations,
-        their outputs and the memoized moves stay valid.  The memoized
-        fall-offs and the move vectors are forgotten, as a new transition may
-        define a move they hold undefined."""
+        their outputs, the memoized moves and an unbounded ``contexts`` walk
+        stay valid.  The memoized fall-offs and the move vectors are
+        forgotten, as a new transition may define a move they hold undefined;
+        the next unbounded walk re-steps the fall-offs it met."""
         self.mmn = mmn
         for q, i in self._falloffs:
             del self._trans[q][i]
@@ -397,6 +401,54 @@ class InducedMoore:
 
     def output(self, q: int) -> int:
         return self._outs[q]
+
+    def contexts(self, depth: Optional[int]) -> list[set[tuple[int, int]]]:
+        """Per component, the (state, base) pairs received at the
+        configurations that a BFS of the memo visits (``base`` as in the move
+        vectors), expanding ``depth`` levels and visiting the last; ``None``
+        expands all that is reachable.  An unbounded walk resumes the last
+        unbounded one and extends its sets, which callers must not modify:
+        within an epoch defined moves persist, so it re-expands only the
+        configurations where it met a fall-off that ``rebind`` forgot.  A
+        bounded walk starts afresh: new moves can make a level shallower."""
+        if depth is None and self._reached is not None:
+            seen, received, loose = self._reached
+            frontier = list(dict.fromkeys(q for q, _ in loose))
+            loose.clear()
+        else:
+            seen, frontier, loose = {self.initial}, [self.initial], []
+            received = [set() for _ in self.mmn.components]
+            if depth is None:
+                self._reached = (seen, received, loose)
+        wiring, outputs = self._wiring, self.mmn.outputs_by_comp
+        configs, trans, step = self._configs, self._trans, self.step
+        inputs = range(len(self.input_alphabet))
+        level = 0
+        while frontier:
+            expand = depth is None or level < depth
+            nxt = []
+            for q in frontier:
+                config = configs[q]
+                outs = [o[s] for o, s in zip(outputs, config)]
+                for s, feeds, pairs in zip(config, wiring.feeds, received):
+                    base = 0
+                    for src, stride, size, tstride in feeds:
+                        base += ((outs[src] // stride) % size) * tstride
+                    pairs.add((s, base))
+                if expand:
+                    row = trans[q]
+                    for i in inputs:
+                        t = row.get(i, -1)  # -1: memo miss; None: fall-off
+                        if t == -1:
+                            t = step(q, i)
+                        if t is None:
+                            loose.append((q, i))
+                        elif t not in seen:
+                            seen.add(t)
+                            nxt.append(t)
+            frontier = nxt
+            level += 1
+        return received
 
     def _walk(self, word: Sequence[int], q: int, record: list) -> list:
         """``record`` at each state a run from ``q`` visits, up to the first

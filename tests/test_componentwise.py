@@ -190,6 +190,114 @@ def test_one_ext_abstraction_monotone():
         assert fine <= eq1 <= eq0 <= uni
 
 
+def reference_walk_deterministic(hypothesis, tables, depth):
+    """Context analysis on a deterministic hypothesis, one pass per
+    configuration, from nothing: the reference for ``one_ext_er`` under the
+    ``eq`` abstraction, which walks the epoch's ``InducedMoore`` memo.
+
+    A component's input character is the sum of a part read from the system
+    input and a part read from the other components' current outputs (its
+    base), as the network's ``wiring`` lays out.  Per component state and
+    base, the characters for every system input and the states they lead to
+    are computed once; the characters are what the state receives, the
+    states step the configuration.  A configuration has no successor on a
+    system input on which some component has no transition.  The last level
+    is recorded but not expanded.
+    """
+    wiring = hypothesis.network.wiring
+    sys_parts, feeds = wiring.sys_parts, wiring.feeds
+    transitions, outputs = hypothesis.transitions_by_comp, hypothesis.outputs_by_comp
+    # moves[k][q]: base -> successor of component k's state q per system
+    # input (None where undefined); its keys are the bases q receives.
+    moves = [[{} for _ in trans] for trans in transitions]
+
+    start = hypothesis.initial_configuration()
+    seen = {start}
+    frontier = [start]
+    level = 0
+    while frontier:
+        expand = depth is None or level < depth
+        nxt = []
+        for cfg in frontier:
+            outs = [o[q] for o, q in zip(outputs, cfg)]
+            targets = []
+            for k, q in enumerate(cfg):
+                base = 0
+                for src, stride, size, tstride in feeds[k]:
+                    base += ((outs[src] // stride) % size) * tstride
+                known = moves[k][q]
+                t = known.get(base)
+                if t is None:
+                    row = transitions[k][q]
+                    t = known[base] = [row.get(base + p) for p in sys_parts[k]]
+                targets.append(t)
+            if expand:
+                for succ in zip(*targets):
+                    if None not in succ and succ not in seen:
+                        seen.add(succ)
+                        nxt.append(succ)
+        if not expand:
+            break
+        frontier = nxt
+        level += 1
+
+    emitted = set()
+    for k, c in enumerate(hypothesis.components):
+        access = tables[c].S
+        for q, known in enumerate(moves[k]):
+            s = access[q]
+            emitted.update((c, s, b + p) for b in known for p in sys_parts[k])
+    return emitted
+
+
+@pytest.mark.parametrize("bound", ["dinf", "d:0", "d:1", "d:3", "dsum", "dmax", "dmin"])
+def test_ccwl_context_walk_matches_reference_every_round(monkeypatch, bound):
+    # Whole ccwl runs: the eq analysis walks the epoch's system machine,
+    # resuming under dinf and re-walking the memo under the other bounds,
+    # while the EQs intern configurations of their own between rounds.  In
+    # every round its proposals must equal the reference walk's on the same
+    # hypothesis.  Rounds are told apart by where the walk starts: the
+    # first round of a new epoch (a fresh memo), a round right after a
+    # fall-off counterexample, or a later round of the epoch ("later";
+    # "grew" if its walk interned configurations the memo lacked).
+    params = CaParams.parse("eq", bound)
+    kinds = set()
+    for spec in ("binctr:4", "mqtt", "rand:star3:lean:mean=5:seed=0",
+                 "rand:compl3:rich:mean=5:seed=1"):
+        sul = build_sul(ExperimentConfig(spec, "ccwl", ca_params=params), 0)
+        last = {"induced": None, "fell_off": False}
+
+        def checking_one_ext_er(hyp, params, tables, induced):
+            assert induced.mmn is hyp
+            if induced is not last["induced"]:
+                kind = "new epoch" if last["induced"] else "first"
+            else:
+                kind = "after fall-off" if last["fell_off"] else "later"
+            last.update(induced=induced, fell_off=False)
+            known = induced.n_explored()
+            got = one_ext_er(hyp, params, tables, induced)
+            assert got == reference_walk_deterministic(hyp, tables, resolve_depth(params, tables))
+            kinds.add(kind)
+            if kind == "later" and induced.n_explored() > known:
+                kinds.add("grew")
+            return got
+
+        def checking_eq(ind):
+            verdict = sul.eq(ind)
+            if verdict is not True:
+                last["fell_off"] = len(ind.trajectory(verdict.word)) <= len(verdict.word)
+            return verdict
+
+        monkeypatch.setattr(componentwise, "one_ext_er", checking_one_ext_er)
+        res = ccwl(sul, params, eq=checking_eq)
+        assert sul.validate_exact(res.mmn) is True
+    # Only the sound bound leaves no hypothesis to fall off, and only depth
+    # 0 never steps the memo.
+    fall_off = {"after fall-off"} if bound != "dinf" else set()
+    grew = {"grew"} if bound != "d:0" else set()
+    assert kinds == {"first", "new epoch", "later"} | fall_off | grew
+
+
 def reference_walk_quotient(hypothesis, quotients, partitions, tables, depth):
     """Context analysis on whole ``NondetMoore`` quotients of the hypothesis
     components, every block's moves built up front: the reference for
@@ -368,9 +476,9 @@ from mmnlearn.benchmarks import from_spec
 from mmnlearn.componentwise import CaParams, ccwl
 from mmnlearn.oracles import EqTestConfig, Sul
 runs = []
-for abstraction in ("uni", "eqk:0"):
+for abstraction, bound in (("uni", "d:0"), ("eqk:0", "d:0"), ("eq", "dinf"), ("eq", "dmin")):
     sul = Sul(from_spec("mqtt"), EqTestConfig(seed=0))
-    res = ccwl(sul, CaParams.parse(abstraction, "d:0"))
+    res = ccwl(sul, CaParams.parse(abstraction, bound))
     runs.append([sul.stats.snapshot(), res.n_states, res.n_transitions])
 print(json.dumps(runs))
 """
@@ -507,8 +615,10 @@ def test_ccwl_event_log():
     assert any(line.startswith("round") for line in log)
     assert log[-1].startswith("eq yes")
     # Each EQ reports the configurations its epoch's system machine already
-    # held besides the initial one: none on a fresh machine, some once a
-    # fall-off counterexample kept the epoch going.
+    # held besides the initial one, interned by the context analysis or by
+    # earlier EQs of the epoch: none in the first epoch's first EQ, as
+    # depth 0 visits only the initial configuration, some once a fall-off
+    # counterexample kept the epoch going.
     log = []
     sul = Sul(binary_counter(4), EqTestConfig(seed=5))
     ccwl(sul, CaParams("eq", None, "d", 0), event_log=log)
