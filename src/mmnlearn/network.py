@@ -402,12 +402,12 @@ class InducedMoore:
     def output(self, q: int) -> int:
         return self._outs[q]
 
-    def contexts(self, depth: Optional[int]) -> list[set[tuple[int, int]]]:
+    def contexts(self, depth: Optional[int]) -> list[frozenset[tuple[int, int]]]:
         """Per component, the (state, base) pairs received at the
         configurations that a BFS of the memo visits (``base`` as in the move
         vectors), expanding ``depth`` levels and visiting the last; ``None``
         expands all that is reachable.  An unbounded walk resumes the last
-        unbounded one and extends its sets, which callers must not modify:
+        unbounded one and extends its sets (callers get frozen copies):
         within an epoch defined moves persist, so it re-expands only the
         configurations where it met a fall-off that ``rebind`` forgot.  A
         bounded walk starts afresh: new moves can make a level shallower."""
@@ -448,7 +448,7 @@ class InducedMoore:
                             nxt.append(t)
             frontier = nxt
             level += 1
-        return received
+        return [frozenset(pairs) for pairs in received]
 
     def _walk(self, word: Sequence[int], q: int, record: list) -> list:
         """``record`` at each state a run from ``q`` visits, up to the first

@@ -190,76 +190,17 @@ def test_one_ext_abstraction_monotone():
         assert fine <= eq1 <= eq0 <= uni
 
 
-def reference_walk_deterministic(hypothesis, tables, depth):
-    """Context analysis on a deterministic hypothesis, one pass per
-    configuration, from nothing: the reference for ``one_ext_er`` under the
-    ``eq`` abstraction, which walks the epoch's ``InducedMoore`` memo.
-
-    A component's input character is the sum of a part read from the system
-    input and a part read from the other components' current outputs (its
-    base), as the network's ``wiring`` lays out.  Per component state and
-    base, the characters for every system input and the states they lead to
-    are computed once; the characters are what the state receives, the
-    states step the configuration.  A configuration has no successor on a
-    system input on which some component has no transition.  The last level
-    is recorded but not expanded.
-    """
-    wiring = hypothesis.network.wiring
-    sys_parts, feeds = wiring.sys_parts, wiring.feeds
-    transitions, outputs = hypothesis.transitions_by_comp, hypothesis.outputs_by_comp
-    # moves[k][q]: base -> successor of component k's state q per system
-    # input (None where undefined); its keys are the bases q receives.
-    moves = [[{} for _ in trans] for trans in transitions]
-
-    start = hypothesis.initial_configuration()
-    seen = {start}
-    frontier = [start]
-    level = 0
-    while frontier:
-        expand = depth is None or level < depth
-        nxt = []
-        for cfg in frontier:
-            outs = [o[q] for o, q in zip(outputs, cfg)]
-            targets = []
-            for k, q in enumerate(cfg):
-                base = 0
-                for src, stride, size, tstride in feeds[k]:
-                    base += ((outs[src] // stride) % size) * tstride
-                known = moves[k][q]
-                t = known.get(base)
-                if t is None:
-                    row = transitions[k][q]
-                    t = known[base] = [row.get(base + p) for p in sys_parts[k]]
-                targets.append(t)
-            if expand:
-                for succ in zip(*targets):
-                    if None not in succ and succ not in seen:
-                        seen.add(succ)
-                        nxt.append(succ)
-        if not expand:
-            break
-        frontier = nxt
-        level += 1
-
-    emitted = set()
-    for k, c in enumerate(hypothesis.components):
-        access = tables[c].S
-        for q, known in enumerate(moves[k]):
-            s = access[q]
-            emitted.update((c, s, b + p) for b in known for p in sys_parts[k])
-    return emitted
-
-
 @pytest.mark.parametrize("bound", ["dinf", "d:0", "d:1", "d:3", "dsum", "dmax", "dmin"])
 def test_ccwl_context_walk_matches_reference_every_round(monkeypatch, bound):
     # Whole ccwl runs: the eq analysis walks the epoch's system machine,
     # resuming under dinf and re-walking the memo under the other bounds,
     # while the EQs intern configurations of their own between rounds.  In
-    # every round its proposals must equal the reference walk's on the same
-    # hypothesis.  Rounds are told apart by where the walk starts: the
-    # first round of a new epoch (a fresh memo), a round right after a
-    # fall-off counterexample, or a later round of the epoch ("later";
-    # "grew" if its walk interned configurations the memo lacked).
+    # every round its proposals must equal the reference quotient walk's
+    # over identity partitions of the same hypothesis.  Rounds are told
+    # apart by where the walk starts: the first round of a new epoch (a
+    # fresh memo), a round right after a fall-off counterexample, or a later
+    # round of the epoch ("later"; "grew" if its walk interned
+    # configurations the memo lacked).
     params = CaParams.parse("eq", bound)
     kinds = set()
     for spec in ("binctr:4", "mqtt", "rand:star3:lean:mean=5:seed=0",
@@ -276,7 +217,16 @@ def test_ccwl_context_walk_matches_reference_every_round(monkeypatch, bound):
             last.update(induced=induced, fell_off=False)
             known = induced.n_explored()
             got = one_ext_er(hyp, params, tables, induced)
-            assert got == reference_walk_deterministic(hyp, tables, resolve_depth(params, tables))
+            ids = {c: identity_partition(hyp.machines[c]) for c in hyp.components}
+            depth = resolve_depth(params, tables)
+            assert got == reference_walk_quotient(
+                hyp, reference_quotient_mmn(hyp, ids), ids, tables, depth,
+            )
+            # The walk hands out frozen copies of the pairs that a resumed
+            # walk extends, and walking again changes nothing.
+            received = induced.contexts(depth)
+            assert all(type(pairs) is frozenset for pairs in received)
+            assert one_ext_er(hyp, params, tables, induced) == got
             kinds.add(kind)
             if kind == "later" and induced.n_explored() > known:
                 kinds.add("grew")
