@@ -63,6 +63,7 @@ def _byte_tables(n: int) -> tuple[bytes, bytes]:
 # Marks of a product move in ``Sul._random_eq``; interned pairs are >= 0.
 _DIFF = -1  # the output traces differ from this tick on
 _AGREE = -2  # both machines fell off: the traces agree to the end
+_UNKNOWN = -3  # not stepped yet
 
 
 class OracleContractError(RuntimeError):
@@ -192,7 +193,8 @@ class Sul:
         differs from the hypothesis output (missing transitions in the
         hypothesis truncate its output and count as differences).  Each word
         is charged whole, but both machines are stepped only up to the first
-        difference (see :meth:`_random_eq`).
+        difference, and not at all once the query's product rows are full
+        (see :meth:`_random_eq`).
         """
         return self._random_eq(self._induced, hypothesis)
 
@@ -205,16 +207,23 @@ class Sul:
 
         Each word is drawn whole and charged (one reset, one step per
         symbol), then walked over a product memo built for this EQ: pairs of
-        states whose outputs agree are interned, and each pair move is
-        memoized in one dict keyed ``pair * |I| + symbol``.  A move on which
-        the outputs differ, or exactly one side falls off, is ``_DIFF``; one
-        on which both fall off is ``_AGREE``, as the outputs then agree to
-        the end of the word.  A walk stops at the first mark, so neither
-        machine is stepped past a difference, and a word is a counterexample
-        exactly when its two output traces differ.  A hypothesis with a
-        smaller input alphabet checks each whole word first, as its
-        ``semantics`` does: a foreign symbol raises ``AlphabetError`` even
-        past a fall-off.
+        states whose outputs agree are interned, each with a row of ``|I|``
+        moves that start as ``_UNKNOWN`` and are stepped on first use.  A
+        move on which the outputs differ, or exactly one side falls off, is
+        ``_DIFF``; one on which both fall off is ``_AGREE``, as the outputs
+        then agree to the end of the word.  A walk stops at the first mark,
+        so neither machine is stepped past a difference, and a word is a
+        counterexample exactly when its two output traces differ.  A
+        hypothesis with a smaller input alphabet checks each whole word
+        first, as its ``semantics`` does: a foreign symbol raises
+        ``AlphabetError`` even past a fall-off.
+
+        A ``_DIFF`` ends the EQ, so while words are drawn the rows hold none.
+        Once a word ends with every row full, no later word can differ: the
+        words left are drawn in one :func:`random_word` call (the same
+        generator outputs as one call per word), charged, and not walked.
+        Under an alphabet check the rows never fill, as a foreign symbol's
+        word raises before it is walked.
         """
         t0 = time.perf_counter()
         stats, rng, cfg = self.stats, self._rng, self.eq_config
@@ -227,10 +236,11 @@ class Sul:
         h_step, h_out = hypothesis.step, hypothesis.output
         pairs = [(target.initial, hypothesis.initial)]
         ids = {pairs[0]: 0}
-        moves: dict[int, int] = {}
+        rows = [[_UNKNOWN] * n_in]
+        known = 0
 
-        def move(key: int) -> int:
-            p, i = divmod(key, n_in)
+        def move(p: int, i: int) -> int:
+            nonlocal known
             q1, q2 = pairs[p]
             t1, t2 = t_step(q1, i), h_step(q2, i)
             if t1 is None or t2 is None:
@@ -242,12 +252,14 @@ class Sul:
                 nxt = ids.setdefault(pair, len(pairs))
                 if nxt == len(pairs):
                     pairs.append(pair)
-            moves[key] = nxt
+                    rows.append([_UNKNOWN] * n_in)
+            rows[p][i] = nxt
+            known += 1
             return nxt
 
         start = 0 if t_out(target.initial) == h_out(hypothesis.initial) else _DIFF
         result = EQUIVALENT
-        for _ in range(cfg.words_per_eq):
+        for left in range(cfg.words_per_eq - 1, -1, -1):
             word = random_word(rng, n_in, cfg.word_length)
             stats.eq_resets += 1
             stats.eq_steps += len(word)
@@ -256,14 +268,19 @@ class Sul:
             p = start
             if p >= 0:
                 for i in word:
-                    key = p * n_in + i
-                    p = moves.get(key)
-                    if p is None:
-                        p = move(key)
+                    nxt = rows[p][i]
+                    if nxt == _UNKNOWN:
+                        nxt = move(p, i)
+                    p = nxt
                     if p < 0:
                         break
             if p == _DIFF:
                 result = Counterexample(word)
+                break
+            if known == len(pairs) * n_in:
+                random_word(rng, n_in, left * cfg.word_length)
+                stats.eq_resets += left
+                stats.eq_steps += left * cfg.word_length
                 break
         self.oracle_seconds += time.perf_counter() - t0
         return result

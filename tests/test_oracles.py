@@ -155,6 +155,18 @@ def test_random_word_is_the_randrange_stream(n):
             assert fast.getstate() == ref.getstate()
 
 
+@pytest.mark.parametrize("length", [1, 3, 4, 5, 260])
+@pytest.mark.parametrize("n", [1, 2, 5, 255, 256, 300])
+def test_random_word_bulk_draw_is_the_consecutive_words(n, length):
+    # An EQ whose product closes draws its words left in one call: each
+    # symbol tried takes one generator output, whatever the word boundaries.
+    for m in (1, 2, 7, 100):
+        apart, bulk = random.Random(m), random.Random(m)
+        words = [random_word(apart, n, length) for _ in range(m)]
+        assert random_word(bulk, n, m * length) == tuple(s for w in words for s in w)
+        assert bulk.getstate() == apart.getstate()
+
+
 def test_eq_detects_missing_transition_truncation():
     s = sul_for(binary_counter(2), seed=5)
     m = s._mmn.materialize()
@@ -373,6 +385,56 @@ def test_product_eq_matches_reference_on_rebound_induced_machines(flip):
     assert verdicts == [False, False, not flip]
 
 
+def recorded_draws(monkeypatch):
+    """The lengths ``Sul._random_eq`` passes to ``random_word``, in order."""
+    lengths = []
+
+    def draw(rng, n, length):
+        lengths.append(length)
+        return random_word(rng, n, length)
+
+    monkeypatch.setattr(oracles, "random_word", draw)
+    return lengths
+
+
+def equal_pairs(rng, machines):
+    """Each machine against itself and against a renumbered copy."""
+    for m in machines:
+        yield m, m, m, m
+        copy = renumbered(m, rng)
+        yield m, copy, m, copy
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_product_eq_closed_product_draws_the_words_left_at_once(seed, monkeypatch):
+    # 60 words of 10 symbols close these small products well before the last
+    # word; every EQ then draws its words left in one call.
+    rng = random.Random(200 + seed)
+    machines = [random_moore(rng, rng.randint(1, 4), rng.randint(1, 3)) for _ in range(6)]
+    pairs = list(equal_pairs(rng, machines))
+    cfg = EqTestConfig(60, 10, seed)
+    lengths = recorded_draws(monkeypatch)
+    assert assert_eqs_match_reference(pairs, cfg) == [True] * len(pairs)
+    assert sum(length > cfg.word_length for length in lengths) == len(pairs)
+    assert len(lengths) < len(pairs) * cfg.words_per_eq
+
+
+def test_product_eq_closed_product_over_a_large_alphabet(monkeypatch):
+    # 300 input symbols: the bulk draw takes random_word's per-symbol path.
+    rng = random.Random(5)
+    machines = [
+        DetMoore(Alphabet(["i%d" % i for i in range(300)]), Alphabet(["o0", "o1"]),
+                 2, 0, tuple({i: rng.randrange(2) for i in range(300)} for _ in "ab"),
+                 (0, k))
+        for k in (0, 1)
+    ]
+    pairs = list(equal_pairs(rng, machines))
+    cfg = EqTestConfig(2000, 10, 3)
+    lengths = recorded_draws(monkeypatch)
+    assert assert_eqs_match_reference(pairs, cfg) == [True] * len(pairs)
+    assert sum(length > cfg.word_length for length in lengths) == len(pairs)
+
+
 def restricted(m, n, drop_initial=False):
     """``m`` over the first ``n`` input symbols only; ``drop_initial`` also
     removes every move of the initial state."""
@@ -413,6 +475,10 @@ def test_eq_rejects_word_outside_smaller_hypothesis_alphabet(seed, drop, resets)
         ("rand:star3:lean:mean=5:seed=2", "ccwl", "eqk:0,d:0", "incorrect",
          (217, 7016, 138, 143520, 18)),
         ("binctr:5", "cwl", None, "validated", (44, 369, 6, 130260, 15)),
+        # c1 reads 270 input symbols: its final EQ's bulk draw takes the
+        # per-symbol path, and the EQs of c2 and c3 read the stream after it.
+        ("rand:compl3:rich:mean=5:seed=0", "cwl", None, "validated",
+         (26990, 144559, 12, 80340, 78)),
     ],
 )
 def test_eq_counts_pinned_through_run_experiment(spec, algorithm, ca, verdict, counts):
