@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Optional
 
@@ -133,7 +134,7 @@ def mnl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None,
         eq=None) -> LearnedSystem:
     """Monolithic L* over the system-level oracles."""
     res = lstar(
-        sul.system_inputs, sul.system_outputs, sul.oq, eq or sul.eq,
+        sul.system_inputs, sul.system_outputs, sul.oq, sul.oq_last, eq or sul.eq,
         memoize=memoize, deadline=deadline,
     )
     return LearnedSystem(machine=res.machine, max_cex_length=res.max_cex_length)
@@ -149,8 +150,9 @@ def cwl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None,
         res = lstar(
             sul.component_input_alphabet(c),
             sul.component_output_alphabet(c),
-            lambda w, c=c: sul.oq_c(c, w),
-            lambda h, c=c: eq_c(c, h),
+            partial(sul.oq_c, c),
+            partial(sul.oq_c_last, c),
+            partial(eq_c, c),
             memoize=memoize, deadline=deadline,
         )
         machines[c] = res.machine
@@ -404,7 +406,7 @@ def ccwl(
     caches: dict[NodeId, OqCache] = {}
     tables: dict[NodeId, ObservationTable] = {}
     for c in sul.components:
-        cache = OqCache(lambda w, c=c: sul.oq_c(c, w), enabled=memoize)
+        cache = OqCache(partial(sul.oq_c, c), partial(sul.oq_c_last, c), enabled=memoize)
         caches[c] = cache
         tables[c] = ObservationTable(
             sul.component_input_alphabet(c),

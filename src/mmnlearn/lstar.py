@@ -24,30 +24,30 @@ class LearningTimeout(RuntimeError):
 
 @dataclass
 class OqCache:
-    """Per-learner memo of last output characters, keyed by query word.
-
-    Cache hits never reach the oracle, so repeat lookups do not inflate the
-    reset/step counters.  A disabled cache charges every lookup; tables
-    never get one (see :func:`table_oracle`).
-    """
+    """Per-learner memo of last output characters, keyed by query word, that
+    ``oq_last`` answers (``oq(w)[-1]``, charged like ``oq(w)``); ``oq`` is
+    for the counterexample analyzer's full traces.  Cache hits never reach
+    the oracle, so repeat lookups do not inflate the reset/step counters.
+    A disabled cache charges every lookup; tables never get one (see
+    :func:`table_oracle`)."""
 
     oq: Callable[[Word], tuple]
+    oq_last: Callable[[Word], int]
     enabled: bool = True
     _seen: dict[Word, int] = field(default_factory=dict)
 
     def last(self, word: Word) -> int:
         if not self.enabled:
-            return self.oq(word)[-1]
+            return self.oq_last(word)
         v = self._seen.get(word)
         if v is None:
-            v = self.oq(word)[-1]
-            self._seen[word] = v
+            v = self._seen[word] = self.oq_last(word)
         return v
 
 
 def table_oracle(cache: OqCache) -> Callable[[Word], int]:
     """A table's ``oq_last``: ``cache`` if enabled, else a private memo."""
-    return (cache if cache.enabled else OqCache(cache.oq)).last
+    return (cache if cache.enabled else OqCache(cache.oq, cache.oq_last)).last
 
 
 def one_ext_lstar(table: ObservationTable, start: int = 0) -> list[tuple[Word, int]]:
@@ -139,17 +139,19 @@ def lstar(
     input_alphabet: Alphabet,
     output_alphabet: Alphabet,
     oq: Callable[[Word], tuple],
+    oq_last: Callable[[Word], int],
     eq: Callable[[DetMoore], "Counterexample | bool"],
     memoize: bool = True,
     deadline: Optional[float] = None,
 ) -> LstarResult:
-    """Learn a Moore machine from output and equivalence oracles.
+    """Learn a Moore machine from output and equivalence oracles;
+    ``oq_last(w)`` must equal ``oq(w)[-1]`` (see :class:`OqCache`).
 
     With ``memoize`` one cache serves the table and the counterexample
     analyzer, so no word is asked twice.  Without it the table still never
     asks one word twice, but every analyzer probe is charged.
     """
-    cache = OqCache(oq, enabled=memoize)
+    cache = OqCache(oq, oq_last, enabled=memoize)
     table = ObservationTable(input_alphabet, output_alphabet, table_oracle(cache))
     max_cex = 0
     # S only grows and no row is ever removed, so only the states that

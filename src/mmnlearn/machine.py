@@ -59,9 +59,9 @@ class DetMoore:
             if o not in self.output_alphabet:
                 raise MooreError("output symbol %d not in alphabet" % o)
 
-    # ``initial``, ``step``, ``output``, ``semantics`` and the two alphabets
-    # are shared with the lazy ``network.InducedMoore``; ``equivalent`` and
-    # the oracles use only this surface.
+    # ``initial``, ``step``, ``output``, ``semantics``, ``last`` and the two
+    # alphabets are shared with the lazy ``network.InducedMoore``;
+    # ``equivalent`` and the oracles use only this surface.
 
     def step(self, q: int, i: int) -> Optional[int]:
         if i not in self.input_alphabet:
@@ -83,21 +83,33 @@ class DetMoore:
         """Output word from state ``q`` (default initial).
 
         Total: length is 1 + (longest defined prefix of ``word``), i.e.
-        ``len(word) + 1`` exactly when the whole path is defined.  The whole
-        word is checked first: a foreign symbol raises ``AlphabetError`` even
-        after the point where a partial machine falls off.
+        ``len(word) + 1`` exactly when the whole path is defined.  The word is
+        checked only at a fall-off (transition keys are in the alphabet), so a
+        foreign symbol raises ``AlphabetError``, also past a fall-off.
         """
-        self.input_alphabet.check_word(word)
-        if q is None:
-            q = self.initial
+        q = self.initial if q is None else q
         transitions, outputs = self.transitions, self.outputs
         out = [outputs[q]]
         for i in word:
             q = transitions[q].get(i)
             if q is None:
+                self.input_alphabet.check_word(word)
                 break
             out.append(outputs[q])
         return tuple(out)
+
+    def last(self, word: Sequence[int]) -> tuple[int, bool]:
+        """``(semantics(word)[-1], len(semantics(word)) == len(word) + 1)``,
+        walked and checked like ``semantics`` but building no output word."""
+        transitions = self.transitions
+        q = self.initial
+        for i in word:
+            t = transitions[q].get(i)
+            if t is None:
+                self.input_alphabet.check_word(word)
+                return self.outputs[q], False
+            q = t
+        return self.outputs[q], True
 
 
 # -- partitions ------------------------------------------------------------

@@ -9,7 +9,6 @@ well-defined.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -218,35 +217,6 @@ class Mmn:
 
     # -- derived machines ----------------------------------------------------
 
-    def materialize(self, budget: int = 10**6) -> DetMoore:
-        """Eagerly explore the induced machine into a plain DetMoore.
-
-        Refuses (raises) once more than ``budget`` configurations appear.
-        """
-        ind = InducedMoore(self)
-        frontier = deque([0])
-        trans: list[dict[int, int]] = [dict()]
-        seen = 1
-        while frontier:
-            q = frontier.popleft()
-            for i in self.system_inputs:
-                t = ind.step(q, i)
-                if t is None:
-                    continue
-                trans[q][i] = t
-                if t >= seen:
-                    seen = t + 1
-                    trans.append(dict())
-                    frontier.append(t)
-                    if seen > budget:
-                        raise NetworkError(
-                            "induced machine exceeds configuration budget %d" % budget
-                        )
-        outputs = tuple(ind.output(q) for q in range(seen))
-        return DetMoore(
-            self.system_inputs, self.system_outputs, seen, 0, tuple(trans), outputs
-        )
-
     def quotient_mmn(
         self, partitions: dict[NodeId, StatePartition]
     ) -> dict[NodeId, tuple[frozenset[int], ...]]:
@@ -262,24 +232,6 @@ class Mmn:
             for c, outputs in zip(self.components, self.outputs_by_comp)
         }
 
-    def simulate(self, word: Sequence[int]) -> dict[Edge, list[int]]:
-        """Tick-by-tick character traces on every non-system-input edge.
-
-        Truncates at the first undefined component transition; traces keep
-        the tick-0 characters, so a complete run yields length ``len(word)+1``.
-        """
-        net = self.network
-        traces: dict[Edge, list[int]] = {
-            e: [] for e in net.edges if net.node_class[e[0]] != NODE_INPUT
-        }
-        for config in InducedMoore(self).trajectory(word):
-            outs = self.total_output(config)
-            for k, c in enumerate(self.components):
-                alpha = net.component_output_alphabet(c)
-                for pos, e in enumerate(net.out_edges[c]):
-                    traces[e].append(alpha.digit(outs[k], pos))
-        return traces
-
 
 class InducedMoore:
     """The system-level Moore machine of an MMN, materialized lazily.
@@ -288,8 +240,8 @@ class InducedMoore:
     once off ``wiring.out_reads``; transition results are memoized.  Every
     call may grow the memo, so an instance must not be shared across
     threads.  Exposes the surface of DetMoore that ``equivalent`` and the
-    oracles use: ``initial``, ``step``, ``output``, ``semantics`` plus the
-    two alphabets.
+    oracles use: ``initial``, ``step``, ``output``, ``semantics``, ``last``
+    plus the two alphabets.
 
     Configurations step through one move vector per component: for state
     ``s`` and base ``b`` (the input digits read off the other components'
@@ -452,9 +404,8 @@ class InducedMoore:
 
     def _walk(self, word: Sequence[int], q: int, record: list) -> list:
         """``record`` at each state a run from ``q`` visits, up to the first
-        fall-off; the whole word is checked first, so a foreign symbol
-        raises ``AlphabetError`` even after a fall-off."""
-        self.input_alphabet.check_word(word)
+        fall-off.  The memo holds only system inputs and ``step`` checks each
+        miss, so the whole word is checked only at a fall-off."""
         trans = self._trans
         out = [record[q]]
         for i in word:
@@ -462,6 +413,7 @@ class InducedMoore:
             if nxt == -1:
                 nxt = self.step(q, i)
             if nxt is None:
+                self.input_alphabet.check_word(word)
                 break
             q = nxt
             out.append(record[q])
@@ -470,6 +422,20 @@ class InducedMoore:
     def semantics(self, word: Sequence[int], q: Optional[int] = None) -> Word:
         """Like ``DetMoore.semantics``."""
         return tuple(self._walk(word, self.initial if q is None else q, self._outs))
+
+    def last(self, word: Sequence[int]) -> tuple[int, bool]:
+        """Like ``DetMoore.last``; the word is checked like in ``_walk``."""
+        trans = self._trans
+        q = self.initial
+        for i in word:
+            nxt = trans[q].get(i, -1)
+            if nxt == -1:
+                nxt = self.step(q, i)
+            if nxt is None:
+                self.input_alphabet.check_word(word)
+                return self._outs[q], False
+            q = nxt
+        return self._outs[q], True
 
     def trajectory(self, word: Sequence[int]) -> list[tuple[int, ...]]:
         """The configurations a run visits, the initial one first, up to the

@@ -162,6 +162,24 @@ class Sul:
         self.oracle_seconds += time.perf_counter() - t0
         return out
 
+    def oq_last(self, word: Sequence[int]) -> int:
+        """``oq(word)[-1]``, charged like ``oq`` but building no trace."""
+        t0 = time.perf_counter()
+        out, _ = self._induced.last(word)
+        self.stats._oq(len(word))
+        self.oracle_seconds += time.perf_counter() - t0
+        return out
+
+    def oq_c_last(self, c: NodeId, word: Sequence[int]) -> int:
+        """``oq_c(c, word)[-1]``, charged and flagged like ``oq_c``."""
+        t0 = time.perf_counter()
+        out, whole = self._mmn.machines[c].last(word)
+        self.stats._oq(len(word))
+        if not whole:
+            self.contract_violations += 1
+        self.oracle_seconds += time.perf_counter() - t0
+        return out
+
     def oq_bar(self, word: Sequence[int]) -> list[tuple[int, ...]]:
         """Total output query: per-component output symbols at every tick.
 
@@ -215,7 +233,7 @@ class Sul:
         so neither machine is stepped past a difference, and a word is a
         counterexample exactly when its two output traces differ.  A
         hypothesis with a smaller input alphabet checks each whole word
-        first, as its ``semantics`` does: a foreign symbol raises
+        first, so that, as in its ``semantics``, a foreign symbol raises
         ``AlphabetError`` even past a fall-off.
 
         A ``_DIFF`` ends the EQ, so while words are drawn the rows hold none.

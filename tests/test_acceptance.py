@@ -23,6 +23,7 @@ from mmnlearn.machine import equivalent
 from mmnlearn.network import InducedMoore
 from mmnlearn.oracles import EqTestConfig, Sul
 from tests.test_machine import brute_force_equivalent, random_machine
+from tests.test_network import materialize, simulate
 
 
 def sul_for(mmn, seed):
@@ -229,7 +230,7 @@ def test_criterion_7_brute_force_agreement():
         ind = InducedMoore(m)
         for _ in range(100):
             word = tuple(rng.randrange(len(m.system_inputs)) for _ in range(12))
-            traces = m.simulate(word)
+            traces = simulate(m, word)
             sem = ind.semantics(word)
             for pos, e in enumerate(m.network.system_out_edges):
                 if traces[e] != [m.system_outputs.digit(x, pos) for x in sem]:
@@ -251,7 +252,7 @@ def test_criterion_8_theorem_bound_sanity():
         # componentwise bounds use summed SUL component sizes; mnl uses the
         # reachable configuration count
         if res.algorithm == "mnl":
-            res.sul_total_states = from_spec(res.benchmark).materialize().n_states
+            res.sul_total_states = materialize(from_spec(res.benchmark)).n_states
         if not thm_bound_check(res, constant=10.0, sound=sound):
             failures.append((res.benchmark, res.algorithm, res.ca_params))
 

@@ -14,7 +14,11 @@ from mmnlearn.benchmarks import (
     shipped_specs,
 )
 from mmnlearn.network import InducedMoore
-from tests.test_network import reference_system_output, reference_system_transition
+from tests.test_network import (
+    reference_system_output,
+    reference_system_transition,
+    simulate,
+)
 
 
 def reachable(machine):
@@ -122,7 +126,7 @@ def test_mqtt_qos2_forward_only_after_pubrel():
     checked = 0
     for _ in range(200):
         word = tuple(rng.randrange(len(m.system_inputs)) for _ in range(50))
-        traces = m.simulate(word)
+        traces = simulate(m, word)
         to_light = traces[("b", "l")]
         from_s2 = traces[("s2", "b")]
         for t, ch in enumerate(to_light):
@@ -164,7 +168,7 @@ def test_rand_rich_no_bullet_reachable():
         rng = random.Random(seed)
         for _ in range(40):
             word = tuple(rng.randrange(len(m.system_inputs)) for _ in range(15))
-            traces = m.simulate(word)
+            traces = simulate(m, word)
             for e, tr in traces.items():
                 alpha = m.network.edge_alphabet[e]
                 for ch in tr:

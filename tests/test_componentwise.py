@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -44,7 +45,7 @@ from tests.test_network import memo_entries_agree, reference_quotient_mmn
 def fresh_tables(sul):
     caches, tables = {}, {}
     for c in sul.components:
-        cache = OqCache(lambda w, c=c: sul.oq_c(c, w))
+        cache = OqCache(partial(sul.oq_c, c), partial(sul.oq_c_last, c))
         caches[c] = cache
         tables[c] = ObservationTable(
             sul.component_input_alphabet(c), sul.component_output_alphabet(c),
@@ -423,18 +424,24 @@ def test_quotient_walk_matches_reference_quotient_walk(spec, abstraction, bound)
 _HASH_SEED_PROBE = """
 import json
 from mmnlearn.benchmarks import from_spec
-from mmnlearn.componentwise import CaParams, ccwl
+from mmnlearn.componentwise import CaParams, ccwl, cwl, mnl
 from mmnlearn.oracles import EqTestConfig, Sul
 runs = []
-for abstraction, bound in (("uni", "d:0"), ("eqk:0", "d:0"), ("eq", "dinf"), ("eq", "dmin")):
+learners = [mnl, cwl] + [
+    lambda sul, ca=ca: ccwl(sul, CaParams.parse(*ca))
+    for ca in (("uni", "d:0"), ("eqk:0", "d:0"), ("eq", "dinf"), ("eq", "dmin"))
+]
+for learn in learners:
     sul = Sul(from_spec("mqtt"), EqTestConfig(seed=0))
-    res = ccwl(sul, CaParams.parse(abstraction, bound))
+    res = learn(sul)
     runs.append([sul.stats.snapshot(), res.n_states, res.n_transitions])
 print(json.dumps(runs))
 """
 
 
 def test_ccwl_counts_independent_of_hash_seed():
+    """The probe's counts of ``mnl``, ``cwl`` and ``ccwl`` on ``mqtt``
+    match under two hash seeds."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = []
     for hash_seed in ("0", "1"):

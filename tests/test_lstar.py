@@ -12,7 +12,8 @@ from tests.test_machine import random_machine
 
 
 class CountingOracle:
-    """oq/eq pair backed by a plain machine, with exact equivalence EQs."""
+    """Output-query and equivalence oracles backed by a plain machine, with
+    exact equivalence EQs; ``oq_last`` counts like ``oq``."""
 
     def __init__(self, machine):
         self.machine = machine
@@ -21,11 +22,18 @@ class CountingOracle:
         self.eq_calls = 0
         self.words = set()
 
-    def oq(self, word):
+    def _charge(self, word):
         self.oq_calls += 1
         self.oq_chars += len(word)
         self.words.add(tuple(word))
+
+    def oq(self, word):
+        self._charge(word)
         return self.machine.semantics(word)
+
+    def oq_last(self, word):
+        self._charge(word)
+        return self.machine.last(word)[0]
 
     def eq(self, hypothesis):
         self.eq_calls += 1
@@ -58,7 +66,7 @@ def reference_hypothesis(tbl):
 
 def table_for(machine, oracle=None):
     oracle = oracle or CountingOracle(machine)
-    cache = OqCache(oracle.oq)
+    cache = OqCache(oracle.oq, oracle.oq_last)
     tbl = ObservationTable(machine.input_alphabet, machine.output_alphabet, cache.last)
     return tbl, cache, oracle
 
@@ -213,7 +221,7 @@ def test_analyze_cex_progress_property():
     for _ in range(30):
         m = random_machine(rng, n_max=5, partial=False)
         oracle = CountingOracle(m)
-        res = lstar(m.input_alphabet, m.output_alphabet, oracle.oq, oracle.eq)
+        res = lstar(m.input_alphabet, m.output_alphabet, oracle.oq, oracle.oq_last, oracle.eq)
         assert equivalent(res.machine, m) is True
 
 
@@ -224,7 +232,7 @@ def test_lstar_constant_machine_one_eq():
     ia, oa = Alphabet(["i", "j"]), Alphabet(["k"])
     m = DetMoore(ia, oa, 1, 0, ({0: 0, 1: 0},), (0,))
     oracle = CountingOracle(m)
-    res = lstar(ia, oa, oracle.oq, oracle.eq)
+    res = lstar(ia, oa, oracle.oq, oracle.oq_last, oracle.eq)
     assert res.machine.n_states == 1
     assert oracle.eq_calls == 1
 
@@ -234,7 +242,7 @@ def test_lstar_learns_random_machines_exactly():
     for _ in range(25):
         m = random_machine(rng, n_max=8, partial=False)
         oracle = CountingOracle(m)
-        res = lstar(m.input_alphabet, m.output_alphabet, oracle.oq, oracle.eq)
+        res = lstar(m.input_alphabet, m.output_alphabet, oracle.oq, oracle.oq_last, oracle.eq)
         assert equivalent(res.machine, m) is True
         assert res.machine.is_complete
         # never more states than the target (which may not be minimal)
@@ -246,7 +254,7 @@ def test_lstar_query_budget_sanity():
     for _ in range(15):
         m = random_machine(rng, n_max=8, partial=False)
         oracle = CountingOracle(m)
-        res = lstar(m.input_alphabet, m.output_alphabet, oracle.oq, oracle.eq)
+        res = lstar(m.input_alphabet, m.output_alphabet, oracle.oq, oracle.oq_last, oracle.eq)
         n = res.machine.n_states
         ell = len(m.input_alphabet)
         import math
@@ -259,7 +267,7 @@ def test_lstar_query_budget_sanity():
 def test_lstar_memoization_avoids_duplicate_words():
     m = binary_counter(2).machines["c1"]
     oracle = CountingOracle(m)
-    lstar(m.input_alphabet, m.output_alphabet, oracle.oq, oracle.eq)
+    lstar(m.input_alphabet, m.output_alphabet, oracle.oq, oracle.oq_last, oracle.eq)
     assert oracle.oq_calls == len(oracle.words)
 
 
@@ -269,7 +277,7 @@ def test_lstar_no_memoization_still_correct():
         m = binary_counter(2).machines["c2"]
         oracle = CountingOracle(m)
         res = lstar(
-            m.input_alphabet, m.output_alphabet, oracle.oq, oracle.eq,
+            m.input_alphabet, m.output_alphabet, oracle.oq, oracle.oq_last, oracle.eq,
             memoize=memoize,
         )
         assert equivalent(res.machine, m) is True
@@ -277,7 +285,7 @@ def test_lstar_no_memoization_still_correct():
 
 def test_lstar_with_random_testing_eq_binary_counter():
     sul = Sul(binary_counter(5), EqTestConfig(seed=0))
-    res = lstar(sul.system_inputs, sul.system_outputs, sul.oq, sul.eq)
+    res = lstar(sul.system_inputs, sul.system_outputs, sul.oq, sul.oq_last, sul.eq)
     assert res.machine.n_states == 70
     assert res.machine.n_transitions() == 140
     assert sul.validate_exact(res.machine) is True
@@ -286,7 +294,7 @@ def test_lstar_with_random_testing_eq_binary_counter():
 def test_lstar_distinct_rows_monotone():
     m = binary_counter(2).machines["c2"]
     oracle = CountingOracle(m)
-    cache = OqCache(oracle.oq)
+    cache = OqCache(oracle.oq, oracle.oq_last)
     tbl = ObservationTable(m.input_alphabet, m.output_alphabet, cache.last)
     history = [n_distinct_rows(tbl)]
     for _ in range(40):
@@ -309,7 +317,7 @@ def test_lstar_distinct_rows_monotone():
 
 def test_hypothesis_agrees_with_table():
     sul = Sul(binary_counter(3), EqTestConfig(seed=1))
-    res = lstar(sul.system_inputs, sul.system_outputs, sul.oq, sul.eq)
+    res = lstar(sul.system_inputs, sul.system_outputs, sul.oq, sul.oq_last, sul.eq)
     tbl = res.table
     h = res.machine
     assert h.is_complete

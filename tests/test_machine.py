@@ -17,7 +17,7 @@ from mmnlearn.machine import (
     partition_eq_k,
     partition_uni,
 )
-from mmnlearn.network import InducedMoore
+from mmnlearn.network import InducedMoore, Mmn
 from mmnlearn.oracles import EqTestConfig, Sul
 
 
@@ -147,11 +147,52 @@ def test_foreign_symbol_rejected_anywhere_in_word():
     m2 = fig_c2()
     word = w(m2, "(c,2)", "(c,1)", "(c,1)")  # falls off at the last symbol
     assert len(m2.semantics(word)) == 3
+    assert m2.last(word) == (m2.semantics(word)[-1], False)
     for bad in (-1, len(m2.input_alphabet)):
         for pos in range(len(word) + 1):  # pos 3 lies past the fall-off
             foreign = word[:pos] + (bad,) + word[pos:]
-            with pytest.raises(AlphabetError):
-                m2.semantics(foreign)
+            for walk in (m2.semantics, m2.last):
+                with pytest.raises(AlphabetError):
+                    walk(foreign)
+
+
+def drop_transitions(rng, machine, share):
+    """``machine`` with about ``share`` of its transitions removed."""
+    return replace(machine, transitions=tuple(
+        {i: t for i, t in row.items() if rng.random() >= share}
+        for row in machine.transitions
+    ))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**30))
+def test_last_agrees_with_semantics(seed):
+    """On random machines, partial ones included, and on the induced
+    machines of random MMNs, some with transitions dropped, ``last`` reads
+    the same run as ``semantics``; a foreign symbol after a fall-off still
+    raises, although ``last`` checks the word only at a fall-off."""
+    rng = random.Random(seed)
+    spec = "rand:%s2:lean:mean=3:seed=%d" % (rng.choice(("compl", "path", "star")), seed)
+    mmn = from_spec(spec)
+    share = rng.choice((0.0, 0.1, 0.3))
+    partial_mmn = Mmn(mmn.network, {
+        c: drop_transitions(rng, m, share) for c, m in mmn.machines.items()
+    })
+    machines = (random_machine(rng, partial=True), random_machine(rng),
+                InducedMoore(partial_mmn))
+    for machine in machines:
+        n = len(machine.input_alphabet)
+        for _ in range(25):
+            word = tuple(rng.randrange(n) for _ in range(rng.randrange(9)))
+            got = machine.last(word)  # first, so that InducedMoore misses its memo
+            out = machine.semantics(word)
+            assert got == (out[-1], len(out) == len(word) + 1)
+            if got[1]:
+                continue
+            for bad in (-1, n, 99):  # inserted after word[len(out) - 1], the fall-off
+                pos = rng.randrange(len(out), len(word) + 1)
+                with pytest.raises(AlphabetError):
+                    machine.last(word[:pos] + (bad,) + word[pos:])
 
 
 def test_semantics_from_given_state():

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,55 @@ from tests.test_machine import identity_partition, quotient, wrap_nondet
 
 def names(alpha, syms):
     return [alpha.name(s) for s in syms]
+
+
+def materialize(mmn, budget=10**6):
+    """Eagerly explore ``mmn``'s induced machine into a plain DetMoore,
+    states numbered as ``InducedMoore`` interns them.
+
+    Refuses (raises ``NetworkError``) once more than ``budget``
+    configurations appear.
+    """
+    ind = InducedMoore(mmn)
+    frontier = deque([0])
+    trans = [dict()]
+    seen = 1
+    while frontier:
+        q = frontier.popleft()
+        for i in mmn.system_inputs:
+            t = ind.step(q, i)
+            if t is None:
+                continue
+            trans[q][i] = t
+            if t >= seen:
+                seen = t + 1
+                trans.append(dict())
+                frontier.append(t)
+                if seen > budget:
+                    raise NetworkError(
+                        "induced machine exceeds configuration budget %d" % budget
+                    )
+    outputs = tuple(ind.output(q) for q in range(seen))
+    return DetMoore(
+        mmn.system_inputs, mmn.system_outputs, seen, 0, tuple(trans), outputs
+    )
+
+
+def simulate(mmn, word):
+    """Tick-by-tick character traces on every non-system-input edge.
+
+    Truncates at the first undefined component transition; traces keep the
+    tick-0 characters, so a complete run yields length ``len(word) + 1``.
+    """
+    net = mmn.network
+    traces = {e: [] for e in net.edges if net.node_class[e[0]] != NODE_INPUT}
+    for config in InducedMoore(mmn).trajectory(word):
+        outs = mmn.total_output(config)
+        for k, c in enumerate(mmn.components):
+            alpha = net.component_output_alphabet(c)
+            for pos, e in enumerate(net.out_edges[c]):
+                traces[e].append(alpha.digit(outs[k], pos))
+    return traces
 
 
 # -- validation ----------------------------------------------------------------
@@ -426,7 +476,7 @@ def test_package_exports_resolve():
 def test_materialize_budget_refused():
     m = binary_counter(3)
     with pytest.raises(NetworkError):
-        m.materialize(budget=2)
+        materialize(m, budget=2)
 
 
 def test_single_component_identity_wiring():
@@ -439,7 +489,7 @@ def test_single_component_identity_wiring():
         2, 0, ({0: 1, 1: 0}, {0: 0, 1: 1}), (0, 1),
     )
     mmn = Mmn(net, {"c": comp})
-    ind = mmn.materialize()
+    ind = materialize(mmn)
     assert ind.n_states == 2
     for word_len in range(5):
         rng = random.Random(word_len)
@@ -452,14 +502,14 @@ def test_single_component_identity_wiring():
 
 def test_simulate_epsilon_gives_initial_outputs():
     m = mmn_ex()
-    traces = m.simulate(())
+    traces = simulate(m, ())
     for e, tr in traces.items():
         assert len(tr) == 1
 
 
 def test_simulate_intercomponent_trace_example():
     m = mmn_ex()
-    traces = m.simulate((m.system_inputs.symbol("(a,c)"),))
+    traces = simulate(m, (m.system_inputs.symbol("(a,c)"),))
     c1c2 = traces[("c1", "c2")]
     alpha = m.network.edge_alphabet[("c1", "c2")]
     assert [alpha.name(s) for s in c1c2] == ["1", "2"]
@@ -472,7 +522,7 @@ def test_simulate_agrees_with_induced_semantics():
         ind = InducedMoore(m)
         for _ in range(30):
             word = tuple(rng.randrange(len(m.system_inputs)) for _ in range(8))
-            traces = m.simulate(word)
+            traces = simulate(m, word)
             sem = ind.semantics(word)
             assert len(ind.trajectory(word)) == len(sem)
             for pos, e in enumerate(m.network.system_out_edges):
@@ -536,7 +586,7 @@ def test_induced_explores_reachable_configurations_only():
             if t is not None and t not in seen:
                 seen.add(t)
                 frontier.append(t)
-    assert ind.n_explored() == len(seen) == m.materialize().n_states
+    assert ind.n_explored() == len(seen) == materialize(m).n_states
     # c2's error half is never part of a reachable configuration
     assert {ind.configuration(q)[1] for q in seen} == {0, 1, 2}
     assert m.machines["c2"].n_states == 7
@@ -547,4 +597,4 @@ def test_configuration_count_bound():
     full = 1
     for c in m.components:
         full *= m.machines[c].n_states
-    assert m.materialize().n_states <= full
+    assert materialize(m).n_states <= full

@@ -11,6 +11,7 @@ from mmnlearn.harness import ExperimentConfig, run_experiment
 from mmnlearn.machine import Counterexample, DetMoore
 from mmnlearn.network import InducedMoore, Mmn
 from mmnlearn.oracles import EqTestConfig, QueryStats, Sul, random_word
+from tests.test_network import materialize
 
 
 def sul_for(mmn, seed=0, words=100, length=260):
@@ -78,6 +79,33 @@ def test_oq_c_partial_component_flags_contract():
     assert s.contract_violations == 1
 
 
+def test_oq_c_last_charges_and_flags_like_oq_c():
+    word_names = ("(c,2)", "(c,1)", "(c,1)")  # falls off c2 at the last symbol
+    full, last = sul_for(mmn_ex()), sul_for(mmn_ex())
+    word = w(full.component_input_alphabet("c2"), *word_names)
+    out = full.oq_c("c2", word)
+    assert last.oq_c_last("c2", word) == out[-1]
+    assert last.stats.snapshot() == full.stats.snapshot()
+    assert last.stats.oq_resets == 1 and last.stats.oq_steps == 3
+    assert last.contract_violations == full.contract_violations == 1
+    # A complete run is charged alike and flags nothing.
+    assert last.oq_c_last("c2", word[:2]) == full.oq_c("c2", word[:2])[-1]
+    assert last.stats.snapshot() == full.stats.snapshot()
+    assert last.contract_violations == 1
+
+
+def test_oq_last_charges_like_oq():
+    full, last = sul_for(binary_counter(3)), sul_for(binary_counter(3))
+    rng = random.Random(4)
+    for n in range(8):
+        word = tuple(rng.randrange(len(full.system_inputs)) for _ in range(n))
+        assert last.oq_last(word) == full.oq(word)[-1]
+    assert last.stats.snapshot() == full.stats.snapshot()
+    with pytest.raises(AlphabetError):
+        last.oq_last((0, len(last.system_inputs)))
+    assert last.stats.snapshot() == full.stats.snapshot()  # rejected: not charged
+
+
 def test_oq_bar_examples():
     s = sul_for(mmn_ex())
     trace = s.oq_bar(())
@@ -119,7 +147,7 @@ def test_oq_bar_agrees_with_oq_projection():
 
 def test_eq_exact_copy_passes_and_charges():
     s = sul_for(binary_counter(2), seed=5)
-    copy = s._mmn.materialize()
+    copy = materialize(s._mmn)
     verdict = s.eq(copy)
     assert verdict is True
     assert s.stats.eq_count == 1
@@ -129,7 +157,7 @@ def test_eq_exact_copy_passes_and_charges():
 
 def test_eq_wrong_initial_output_found_on_first_word():
     s = sul_for(binary_counter(2), seed=5)
-    m = s._mmn.materialize()
+    m = materialize(s._mmn)
     wrong = DetMoore(
         m.input_alphabet, m.output_alphabet, m.n_states, m.initial,
         m.transitions, ((m.outputs[0] + 1) % len(m.output_alphabet),) + m.outputs[1:],
@@ -169,7 +197,7 @@ def test_random_word_bulk_draw_is_the_consecutive_words(n, length):
 
 def test_eq_detects_missing_transition_truncation():
     s = sul_for(binary_counter(2), seed=5)
-    m = s._mmn.materialize()
+    m = materialize(s._mmn)
     trimmed = DetMoore(
         m.input_alphabet, m.output_alphabet, m.n_states, m.initial,
         (dict(),) + m.transitions[1:], m.outputs,
@@ -182,7 +210,7 @@ def test_eq_detects_missing_transition_truncation():
 def test_eq_deterministic_per_seed():
     a = sul_for(binary_counter(2), seed=42)
     b = sul_for(binary_counter(2), seed=42)
-    ha, hb = a._mmn.materialize(), b._mmn.materialize()
+    ha, hb = materialize(a._mmn), materialize(b._mmn)
     assert a.eq(ha) is True and b.eq(hb) is True
     assert a.stats.eq_steps == b.stats.eq_steps
 
@@ -459,7 +487,7 @@ def test_eq_rejects_word_outside_smaller_hypothesis_alphabet(seed, drop, resets)
                "eq_resets": resets, "eq_steps": 3 * resets}
     s = sul_for(mmn_ex(), seed=seed, words=20, length=3)
     with pytest.raises(AlphabetError):
-        s.eq(restricted(s._mmn.materialize(), 3, drop))
+        s.eq(restricted(materialize(s._mmn), 3, drop))
     assert s.stats.snapshot() == charged
     s = sul_for(mmn_ex(), seed=seed, words=20, length=3)
     with pytest.raises(AlphabetError):
@@ -550,7 +578,7 @@ def test_stats_conservation():
     for word in words:
         s.oq(word)
     s.oq_c("c1", (0, 1))
-    s.eq(s._mmn.materialize())
+    s.eq(materialize(s._mmn))
     assert s.stats.oq_resets == len(words) + 1
     assert s.stats.oq_steps == sum(len(w_) for w_ in words) + 2
     assert s.stats.eq_resets == 5
@@ -561,7 +589,7 @@ def test_stats_snapshot_is_the_five_totals():
     s = sul_for(binary_counter(2), seed=1, words=5, length=7)
     s.oq((0, 1))
     s.oq_c("c1", (0,))
-    s.eq(s._mmn.materialize())
+    s.eq(materialize(s._mmn))
     assert s.stats.snapshot() == {
         "oq_resets": 2,
         "oq_steps": 3,
@@ -573,7 +601,7 @@ def test_stats_snapshot_is_the_five_totals():
 
 def test_exact_eq_charges_one_eq_and_no_words():
     s = sul_for(binary_counter(2))
-    assert s.exact_eq(s._mmn.materialize()) is True
+    assert s.exact_eq(materialize(s._mmn)) is True
     assert s.exact_eq_c("c1", s._mmn.machines["c1"]) is True
     assert s.stats.snapshot() == {**QueryStats().snapshot(), "eq_count": 2}
 
@@ -587,6 +615,6 @@ def test_exact_eq_time_counts_as_oracle_time(monkeypatch):
 
     monkeypatch.setattr(oracles, "equivalent", slow_equivalent)
     s = sul_for(binary_counter(2))
-    assert s.exact_eq(s._mmn.materialize()) is True
+    assert s.exact_eq(materialize(s._mmn)) is True
     assert s.exact_eq_c("c1", s._mmn.machines["c1"]) is True
     assert s.oracle_seconds >= 0.1
