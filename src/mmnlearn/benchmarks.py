@@ -9,6 +9,7 @@ accept an optional ``mean=<n>`` for the component-size distribution).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Optional
@@ -27,7 +28,7 @@ def _machine(net: Network, comp, outputs, transitions, initial=0) -> DetMoore:
     oa = net.component_output_alphabet(comp)
     return DetMoore(
         ia, oa, len(outputs), initial,
-        tuple(dict(t) for t in transitions), tuple(outputs),
+        tuple(transitions), tuple(outputs),
     )
 
 
@@ -378,13 +379,13 @@ def _rand_alphabet(rng, prefix, lo=2, hi=5) -> list[str]:
     return ["%s%d" % (prefix, j) for j in range(rng.randint(lo, hi))]
 
 
-def _lean_machine(rng, ia_size, oa_size, mean) -> tuple[int, list[dict], list[int]]:
+def _lean_machine(rng, ia_size, oa_size, mean) -> tuple[list[dict], list[int]]:
     n = max(2, math.floor(rng.gauss(mean, 1) + 0.5))  # round half up, clamp
     trans = [
         {i: rng.randrange(n) for i in range(ia_size)} for _ in range(n)
     ]
     outs = [rng.randrange(oa_size) for _ in range(n)]
-    return n, trans, outs
+    return trans, outs
 
 
 def _topology(topology: str, k: int) -> tuple[list, list[tuple[str, str]]]:
@@ -443,16 +444,16 @@ def rand_mmn(topology: str, k: int, comp_kind: str, seed: int, mean: float = 10.
         for c in comp_names:
             ia = net.component_input_alphabet(c)
             oa = net.component_output_alphabet(c)
-            n, trans, outs = _lean_machine(rng, len(ia), len(oa), mean)
+            trans, outs = _lean_machine(rng, len(ia), len(oa), mean)
             machines[c] = _machine(net, c, outs, trans)
         return Mmn(net, machines)
 
     if comp_kind != "rich":
         raise BenchmarkError("unknown component kind %r" % comp_kind)
 
-    # Disjoint alphabet halves per edge; system input edges carry the first
-    # half only.
-    halves: dict[tuple[str, str], tuple[list[str], list[str]]] = {}
+    # Disjoint alphabet halves per edge, kept as (first, second) sizes;
+    # system input edges carry the first half only.
+    halves: dict[tuple[str, str], tuple[int, int]] = {}
     edges = []
     for s, d in raw:
         first = ["%s_%s_a%d" % (s, d, j) for j in range(rng.randint(2, 5))]
@@ -461,7 +462,7 @@ def rand_mmn(topology: str, k: int, comp_kind: str, seed: int, mean: float = 10.
             if (s, d) in sys_in_edges
             else ["%s_%s_b%d" % (s, d, j) for j in range(rng.randint(2, 5))]
         )
-        halves[(s, d)] = (first, second)
+        halves[(s, d)] = (len(first), len(second))
         edges.append((s, d, Alphabet(first + second)))
     net = Network(nodes, edges)
 
@@ -469,84 +470,44 @@ def rand_mmn(topology: str, k: int, comp_kind: str, seed: int, mean: float = 10.
     for c in comp_names:
         ia = net.component_input_alphabet(c)
         oa = net.component_output_alphabet(c)
-        in_edges = net.in_edges[c]
-        out_edges = net.out_edges[c]
-        in_first = [len(halves[e][0]) for e in in_edges]
-        in_second = [len(halves[e][1]) for e in in_edges]
-        out_first = [len(halves[e][0]) for e in out_edges]
-        out_second = [len(halves[e][1]) for e in out_edges]
+        in_halves = [halves[e] for e in net.in_edges[c]]
+        out_halves = [halves[e] for e in net.out_edges[c]]
+        # in_a[x] is the input A reads as its symbol x (every character in
+        # its edge's first half), in_b[y] the one B reads as y (every
+        # character in the second half); an input in neither mixes halves.
+        # A component fed by the system has no all-second-half input, so B
+        # gets one input symbol that nothing sends.
+        in_a, in_b = _half_symbols(ia, in_halves, 0), _half_symbols(ia, in_halves, 1)
+        out_a, out_b = _half_symbols(oa, out_halves, 0), _half_symbols(oa, out_halves, 1)
+        ta, outs_a = _lean_machine(rng, len(in_a), len(out_a), mean)
+        tb, outs_b = _lean_machine(rng, max(len(in_b), 1), len(out_b), mean)
+        na, nb = len(ta), len(tb)
 
-        fa_size = 1
-        for v in in_first:
-            fa_size *= v
-        fo_size = 1
-        for v in out_first:
-            fo_size *= v
-        na, ta, oa_a = _lean_machine(rng, fa_size, fo_size, mean)
-        sa_size = 1
-        for v in in_second:
-            sa_size *= v
-        so_size = 1
-        for v in out_second:
-            so_size *= v
-        has_second_inputs = all(v > 0 for v in in_second)
-        nb, tb, ob = _lean_machine(rng, max(sa_size, 1), max(so_size, 1), mean)
-
-        # product state (qa, qb, flag); flag 0 drives and shows machine A
-        def sid(qa, qb, flag):
-            return (qa * nb + qb) * 2 + flag
-
-        def mixed_encode(digits_first, sizes):
-            val = 0
-            for d, s_ in zip(digits_first, sizes):
-                val = val * s_ + d
-            return val
-
-        n = na * nb * 2
-        trans = [dict() for _ in range(n)]
-        outs = [0] * n
+        # product state (qa, qb, flag) is numbered 2 * (qa * nb + qb) + flag;
+        # an input of A moves to flag 0, one of B to flag 1, and the flagged
+        # machine's output is shown.
+        trans, outs = [], []
         for qa in range(na):
             for qb in range(nb):
-                for flag in (0, 1):
-                    q = sid(qa, qb, flag)
-                    # output: per edge, the flagged machine's character
-                    digits = []
-                    for pos, e in enumerate(out_edges):
-                        f_n, s_n = len(halves[e][0]), len(halves[e][1])
-                        if flag == 0:
-                            da = _digit(oa_a[qa], out_first, pos)
-                            digits.append(da)
-                        else:
-                            db = _digit(ob[qb], out_second, pos)
-                            digits.append(f_n + db)
-                    outs[q] = oa.encode(digits)
-                    for i in ia:
-                        in_digits = [ia.digit(i, pos) for pos in range(len(in_edges))]
-                        kinds = [
-                            0 if d < in_first[pos] else 1
-                            for pos, d in enumerate(in_digits)
-                        ]
-                        if all(kd == 0 for kd in kinds):
-                            ia_sym = mixed_encode(in_digits, in_first)
-                            trans[q][i] = sid(ta[qa][ia_sym], qb, 0)
-                        elif has_second_inputs and all(kd == 1 for kd in kinds):
-                            sec = [
-                                d - in_first[pos]
-                                for pos, d in enumerate(in_digits)
-                            ]
-                            ib_sym = mixed_encode(sec, in_second)
-                            trans[q][i] = sid(qa, tb[qb][ib_sym], 1)
-                        else:
-                            trans[q][i] = q
+                moves = {i: 2 * (ta[qa][x] * nb + qb) for x, i in enumerate(in_a)}
+                for y, i in enumerate(in_b):
+                    moves[i] = 2 * (qa * nb + tb[qb][y]) + 1
+                for out in (out_a[outs_a[qa]], out_b[outs_b[qb]]):
+                    row = dict.fromkeys(ia, len(trans))  # mixed inputs loop
+                    row.update(moves)
+                    trans.append(row)
+                    outs.append(out)
         machines[c] = _machine(net, c, outs, trans)
     return Mmn(net, machines)
 
 
-def _digit(sym: int, sizes: list[int], pos: int) -> int:
-    stride = 1
-    for s_ in sizes[pos + 1 :]:
-        stride *= s_
-    return (sym // stride) % sizes[pos]
+def _half_symbols(alpha: Alphabet, sizes: list[tuple[int, int]], half: int) -> list[int]:
+    """The symbols of the product ``alpha`` whose every character lies in
+    the given half (0 first, 1 second) of its edge, listed by their value in
+    the mixed radix of those halves."""
+    ranges = [range(first) if half == 0 else range(first, first + second)
+              for first, second in sizes]
+    return [alpha.encode(digits) for digits in itertools.product(*ranges)]
 
 
 # -- spec strings ---------------------------------------------------------------

@@ -177,11 +177,38 @@ def test_rand_rich_no_bullet_reachable():
                     assert "_b" not in alpha.name(ch)
 
 
+def rich_halves(alpha, sym):
+    """The halves ("a" or "b") that the per-edge characters of ``sym`` lie in."""
+    return {
+        f.name(d).rsplit("_", 1)[1][0] for f, d in zip(alpha.factors, alpha.digits(sym))
+    }
+
+
 def test_rand_rich_states_follow_product():
-    m = rand_mmn("path", 2, "rich", seed=3, mean=3.0)
-    for c in m.components:
-        assert m.machines[c].n_states % 2 == 0  # (A x B x flag) layout
-        assert m.machines[c].is_complete
+    """A rich component is the (A x B x flag) product: all-first-half inputs
+    step A into a flag-0 state, all-second-half inputs step B into a flag-1
+    state, mixed inputs are self-loops, and each flag shows its own half."""
+    seen = set()
+    for topo in ("path", "star", "compl"):
+        for seed in range(4):
+            m = rand_mmn(topo, 2, "rich", seed=seed, mean=3.0)
+            for c in m.components:
+                mc = m.machines[c]
+                assert mc.n_states % 2 == 0  # (A x B x flag) layout
+                assert mc.is_complete
+                for q in range(mc.n_states):
+                    shown = rich_halves(mc.output_alphabet, mc.outputs[q])
+                    assert shown == ({"a"} if q % 2 == 0 else {"b"}), (topo, seed, c, q)
+                    for i, t in mc.transitions[q].items():
+                        kind = rich_halves(mc.input_alphabet, i)
+                        if kind == {"a"}:
+                            assert t % 2 == 0, (topo, seed, c, q, i)
+                        elif kind == {"b"}:
+                            assert t % 2 == 1, (topo, seed, c, q, i)
+                        else:
+                            assert t == q, (topo, seed, c, q, i)
+                        seen.add(frozenset(kind))
+    assert len(seen) == 3  # every kind of input was exercised
 
 
 # sha256 of ``serialize.mmn_to_text`` per random spec: the perfbench pools
