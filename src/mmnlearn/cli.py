@@ -88,6 +88,15 @@ def _exit_code(results) -> int:
     return max((_EXIT_CODES.get(r.validation, 0) for r in results), default=0)
 
 
+def _write_report(text: str, path) -> None:
+    """Write the report to ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def main(argv=None) -> int:
     _setup_logging()
     parser = argparse.ArgumentParser(prog="mmnlearn")
@@ -126,12 +135,7 @@ def main(argv=None) -> int:
         except (ConfigError, benchmarks.BenchmarkError, ValueError) as exc:
             print("config error: %s" % exc, file=sys.stderr)
             return 4
-        text = report(results, args.format)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_report(report(results, args.format), args.out)
         errors = [r for r in results if r.validation == ERROR]
         for r in errors:
             print("learning aborted (seed=%d): %s" % (r.seed, r.error),
@@ -150,12 +154,7 @@ def main(argv=None) -> int:
             results = run_batch(cfg)
             chunks.append(report(results, args.format))
             code = max(code, _exit_code(results))
-        text = "\n".join(chunks)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_report("\n".join(chunks), args.out)
         return code
 
     return 4

@@ -13,6 +13,7 @@ from mmnlearn.harness import (
     ExperimentConfig,
     ExperimentResult,
     VALIDATED,
+    ci_profile,
     format_count,
     report,
     run_batch,
@@ -324,6 +325,18 @@ def test_cli_suite_exit_code(monkeypatch, capsys, verdicts, code):
     monkeypatch.setattr(cli, "run_batch", stub_batch)
     assert cli_main(["suite", "--preset", "ci", "--format", "csv"]) == code
 
+
+
+def test_cli_suite_writes_report_to_out(monkeypatch, tmp_path, capsys):
+    def stub_batch(cfg):
+        return [ExperimentResult(cfg.benchmark, cfg.algorithm, "", 1, validation=VALIDATED)]
+
+    monkeypatch.setattr(cli, "run_batch", stub_batch)
+    out = tmp_path / "suite.csv"
+    assert cli_main(["suite", "--preset", "ci", "--format", "csv", "--out", str(out)]) == 0
+    expected = "\n".join(report(stub_batch(cfg), "csv") for cfg in ci_profile())
+    assert out.read_text() == expected
+    assert capsys.readouterr().out == ""
 
 def test_cli_timeout_exit_3(tmp_path, capsys):
     code = cli_main([
