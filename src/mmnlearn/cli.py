@@ -88,7 +88,7 @@ def _exit_code(results) -> int:
     return max((_EXIT_CODES.get(r.validation, 0) for r in results), default=0)
 
 
-def _write_report(text: str, path) -> None:
+def _write_report(text: str, path: str | None) -> None:
     """Write the report to ``path``, or to stdout when no path is given."""
     if path:
         with open(path, "w") as fh:
