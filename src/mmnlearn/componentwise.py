@@ -335,7 +335,7 @@ def analyze_cex_componentwise(
     tables: dict[NodeId, ObservationTable],
     caches: dict[NodeId, OqCache],
     event_log: Optional[list[str]] = None,
-) -> None:
+) -> bool:
     """Extended counterexample analysis (valid for sound and unsound CA).
 
     ``induced`` is the epoch's system machine the EQ ran on: its ``mmn`` is
@@ -346,6 +346,7 @@ def analyze_cex_componentwise(
     hypothesis simulation; rebuild that component's local input word from
     the observed total outputs and delegate to the suffix-based analyzer,
     which starts a new epoch.  Candidates tie-break by component order.
+    Returns whether a suffix was added, i.e. whether an epoch ends.
     """
     hypothesis = induced.mmn
     comps = hypothesis.components
@@ -361,7 +362,7 @@ def analyze_cex_componentwise(
                 tables[c].add_extension(s + (i_c,))
                 if event_log is not None:
                     event_log.append("cex missing-transition c=%s" % c)
-                return
+                return False
         raise SpuriousCounterexampleError("fell off but no missing transition found")
 
     observed = sul.oq_bar(word)
@@ -376,10 +377,8 @@ def analyze_cex_componentwise(
             )
             if event_log is not None:
                 event_log.append("cex wrong-output c=%s tick=%d" % (c, t))
-            analyze_cex(
-                hypothesis.machines[c], local, caches[c], tables[c]
-            )
-            return
+            analyze_cex(hypothesis.machines[c], local, caches[c], tables[c])
+            return True
     raise SpuriousCounterexampleError(
         "counterexample shows no difference in total outputs"
     )
@@ -449,7 +448,5 @@ def ccwl(
         max_cex = max(max_cex, len(verdict.word))
         if event_log is not None:
             event_log.append("eq cex len=%d" % len(verdict.word))
-        suffixes = sum(len(t.E) for t in tables.values())
-        analyze_cex_componentwise(induced, verdict.word, sul, tables, caches, event_log)
-        if sum(len(t.E) for t in tables.values()) != suffixes:
+        if analyze_cex_componentwise(induced, verdict.word, sul, tables, caches, event_log):
             induced = None  # a new epoch: states may split and renumber

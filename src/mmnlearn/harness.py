@@ -59,8 +59,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError("unknown algorithm %r" % self.algorithm)
-        if self.algorithm == "ccwl" and self.ca_params is None:
-            raise ConfigError("ccwl requires CA parameters")
+        if (self.algorithm == "ccwl") != (self.ca_params is not None):
+            raise ConfigError("ccwl, and only ccwl, takes CA parameters")
         if self.instances < 1:
             raise ConfigError("instances must be >= 1")
 
@@ -283,8 +283,10 @@ def thm_bound_check(result: ExperimentResult, constant: float = 10.0,
     Monolithic runs use the single-machine form C*(l*n^2 + n*log m); the
     componentwise algorithms get an extra component factor on the log term,
     plus an l*n*|V^c| term when the CA parameters are unsound.  ``n`` is
-    the SUL's state count (total configurations for mnl, summed component
-    sizes otherwise), ``m`` the longest counterexample seen.
+    ``result.sul_total_states``: ``run_experiment`` fills it with the summed
+    component sizes for every algorithm, so a check of ``mnl`` against the
+    reachable configurations sets it first.  ``m`` is the longest
+    counterexample seen.
     """
     n = max(1, result.sul_total_states)
     ell = max(1, result.sul_input_alphabet)

@@ -1,10 +1,13 @@
-"""The L*-style learning loop shared by all three system-level algorithms.
+"""The L*-style learning loop for one Moore machine.
 
-The loop alternates closing the table, completing it with 1-step extensions
-proposed by a pluggable rule, and asking equivalence queries.  Counterexample
-handling adds a distinguishing *suffix* found by binary search over the
-split position, which keeps S rows pairwise distinct (no consistency check
-is ever needed).
+``mnl`` runs it on the whole system and ``cwl`` once per component;
+``ccwl`` runs its own loop over all component tables (``componentwise``)
+and shares only this module's cache, table oracle and counterexample
+analyzer.  The loop alternates closing the table, completing it with the
+1-step extensions of every S row, and asking equivalence queries.
+Counterexample handling adds a distinguishing *suffix* found by binary
+search over the split position, which keeps S rows pairwise distinct (no
+consistency check is ever needed).
 """
 
 from __future__ import annotations

@@ -237,19 +237,19 @@ class InducedMoore:
     """The system-level Moore machine of an MMN, materialized lazily.
 
     Configurations are interned on first visit, their system output read
-    once off ``wiring.out_reads``; transition results are memoized.  Every
-    call may grow the memo, so an instance must not be shared across
-    threads.  Exposes the surface of DetMoore that ``equivalent`` and the
-    oracles use: ``initial``, ``step``, ``output``, ``semantics``, ``last``
-    plus the two alphabets.
+    once off ``wiring.out_reads``.  The memo holds one *row* per
+    configuration: its successor on every system input, ``None`` for a
+    fall-off, filled on the first step from it, which interns the
+    successors in input order.  Every call may grow the memo, so an
+    instance must not be shared across threads.  Exposes the surface of
+    DetMoore that ``equivalent`` and the oracles use: ``initial``, ``step``,
+    ``output``, ``semantics``, ``last`` plus the two alphabets.
 
-    Configurations step through one move vector per component: for state
-    ``s`` and base ``b`` (the input digits read off the other components'
-    outputs by ``wiring.feeds``), ``s``'s successors on ``b`` plus each
-    system input's part, ``None`` where undefined.  A vector is built once
-    per (component, state, base) between rebinds and shared; a
-    configuration gathers its vectors on its first memo miss, and a
-    ``None`` in a successor is a fall-off.
+    Rows are filled from one move vector per component: for state ``s``
+    and base ``b`` (the input digits read off the other components' outputs
+    by ``wiring.feeds``), ``s``'s successors on ``b`` plus each system
+    input's part, ``None`` where undefined.  A vector is built once per
+    (component, state, base) between rebinds and shared.
 
     The MMN is immutable, but the memo may outlive it: ``rebind`` moves it
     to a hypothesis grown from it within one learning epoch (see ``ccwl``).
@@ -267,11 +267,10 @@ class InducedMoore:
         self._key_strides = [len(wiring.input_alphabets[c]) for c in mmn.components]
         self._configs: list[tuple[int, ...]] = []
         self._ids: dict[tuple[int, ...], int] = {}
-        self._trans: list[dict[int, Optional[int]]] = []
+        self._trans: list[Optional[list[Optional[int]]]] = []  # rows; None until filled
         self._outs: list[int] = []
-        self._vecs: list[Optional[list[list[Optional[int]]]]] = []  # per configuration
-        self._falloffs: list[tuple[int, int]] = []  # (q, i) memoized as None
-        self._reached: Optional[tuple] = None  # contexts(None): seen, pairs, fall-offs
+        self._partial: list[int] = []  # configurations whose row holds a fall-off
+        self._reached: Optional[tuple] = None  # contexts(None): seen, pairs, partial rows
         self._intern(mmn.initial_configuration())
 
     initial = 0
@@ -280,17 +279,16 @@ class InducedMoore:
         """Continue on ``mmn``, grown from the current MMN within an epoch.
 
         Growth only adds states and transitions, so interned configurations,
-        their outputs, the memoized moves and an unbounded ``contexts`` walk
-        stay valid.  The memoized fall-offs and the move vectors are
-        forgotten, as a new transition may define a move they hold undefined;
-        the next unbounded walk re-steps the fall-offs it met."""
+        their outputs, the rows without a fall-off and an unbounded
+        ``contexts`` walk stay valid.  The rows with a fall-off and the move
+        vectors are forgotten, as a new transition may define a move they
+        hold undefined; the next unbounded walk re-expands those rows."""
         self.mmn = mmn
-        for q, i in self._falloffs:
-            del self._trans[q][i]
-        self._falloffs = []
+        for q in self._partial:
+            self._trans[q] = None
+        self._partial = []
         for moves in self._moves:
             moves.clear()
-        self._vecs = [None] * len(self._configs)
 
     def configuration(self, q: int) -> tuple[int, ...]:
         return self._configs[q]
@@ -302,8 +300,7 @@ class InducedMoore:
         q = len(self._configs)
         self._ids[config] = q
         self._configs.append(config)
-        self._trans.append(dict())
-        self._vecs.append(None)
+        self._trans.append(None)
         outputs = self.mmn.outputs_by_comp
         out = 0
         for src, stride, size, tstride in self._wiring.out_reads:
@@ -311,8 +308,8 @@ class InducedMoore:
         self._outs.append(out)
         return q
 
-    def _vectors(self, q: int) -> list[list[Optional[int]]]:
-        """Configuration ``q``'s move vectors, one per component."""
+    def _row(self, q: int) -> list[Optional[int]]:
+        """Fill configuration ``q``'s row from its components' move vectors."""
         config = self._configs[q]
         wiring, mmn = self._wiring, self.mmn
         outs = [o[s] for o, s in zip(mmn.outputs_by_comp, config)]
@@ -327,29 +324,27 @@ class InducedMoore:
             key = s * stride + base
             vec = moves.get(key)
             if vec is None:
-                row = transitions[s]
-                vec = moves[key] = [row.get(base + p) for p in sys_part]
+                from_s = transitions[s]
+                vec = moves[key] = [from_s.get(base + p) for p in sys_part]
             vecs.append(vec)
-        self._vecs[q] = vecs
-        return vecs
+        ids, row = self._ids, []
+        for nxt in zip(*vecs):
+            t = None
+            if None not in nxt:
+                t = ids.get(nxt)
+                if t is None:
+                    t = self._intern(nxt)
+            row.append(t)
+        if None in row:
+            self._partial.append(q)
+        self._trans[q] = row
+        return row
 
     def step(self, q: int, i: int) -> Optional[int]:
-        row = self._trans[q]
-        if i in row:
+        row = self._trans[q] or self._row(q)
+        if 0 <= i < len(row):
             return row[i]
-        # Only system inputs are ever memoized, so a hit needs no check.
-        if i not in self.input_alphabet:
-            raise AlphabetError("input symbol %d not in system alphabet" % i)
-        nxt = tuple([vec[i] for vec in self._vecs[q] or self._vectors(q)])
-        if None in nxt:
-            row[i] = None
-            self._falloffs.append((q, i))
-            return None
-        t = self._ids.get(nxt)
-        if t is None:
-            t = self._intern(nxt)
-        row[i] = t
-        return t
+        raise AlphabetError("input symbol %d not in system alphabet" % i)
 
     def output(self, q: int) -> int:
         return self._outs[q]
@@ -361,11 +356,11 @@ class InducedMoore:
         expands all that is reachable.  An unbounded walk resumes the last
         unbounded one and extends its sets (callers get frozen copies):
         within an epoch defined moves persist, so it re-expands only the
-        configurations where it met a fall-off that ``rebind`` forgot.  A
+        configurations whose rows held a fall-off that ``rebind`` forgot.  A
         bounded walk starts afresh: new moves can make a level shallower."""
         if depth is None and self._reached is not None:
             seen, received, loose = self._reached
-            frontier = list(dict.fromkeys(q for q, _ in loose))
+            frontier = loose[:]
             loose.clear()
         else:
             seen, frontier, loose = {self.initial}, [self.initial], []
@@ -373,8 +368,7 @@ class InducedMoore:
             if depth is None:
                 self._reached = (seen, received, loose)
         wiring, outputs = self._wiring, self.mmn.outputs_by_comp
-        configs, trans, step = self._configs, self._trans, self.step
-        inputs = range(len(self.input_alphabet))
+        configs, trans = self._configs, self._trans
         level = 0
         while frontier:
             expand = depth is None or level < depth
@@ -388,14 +382,11 @@ class InducedMoore:
                         base += ((outs[src] // stride) % size) * tstride
                     pairs.add((s, base))
                 if expand:
-                    row = trans[q]
-                    for i in inputs:
-                        t = row.get(i, -1)  # -1: memo miss; None: fall-off
-                        if t == -1:
-                            t = step(q, i)
-                        if t is None:
-                            loose.append((q, i))
-                        elif t not in seen:
+                    row = trans[q] or self._row(q)
+                    if None in row:
+                        loose.append(q)
+                    for t in row:
+                        if t is not None and t not in seen:
                             seen.add(t)
                             nxt.append(t)
             frontier = nxt
@@ -404,19 +395,21 @@ class InducedMoore:
 
     def _walk(self, word: Sequence[int], q: int, record: list) -> list:
         """``record`` at each state a run from ``q`` visits, up to the first
-        fall-off.  The memo holds only system inputs and ``step`` checks each
-        miss, so the whole word is checked only at a fall-off."""
-        trans = self._trans
-        out = [record[q]]
-        for i in word:
-            nxt = trans[q].get(i, -1)  # -1: memo miss; None: fall-off
-            if nxt == -1:
-                nxt = self.step(q, i)
-            if nxt is None:
-                self.input_alphabet.check_word(word)
-                break
-            q = nxt
-            out.append(record[q])
+        fall-off.  A row holds every system input, so only a negative symbol
+        or one past a row's end is foreign: the first ends the run like a
+        fall-off, the second raises ``IndexError``, and the whole word is
+        checked only then."""
+        trans, out = self._trans, [record[q]]
+        try:
+            for i in word:
+                q = (trans[q] or self._row(q))[i] if i >= 0 else None
+                if q is None:
+                    self.input_alphabet.check_word(word)
+                    break
+                out.append(record[q])
+        except IndexError:
+            self.input_alphabet.check_word(word)
+            raise
         return out
 
     def semantics(self, word: Sequence[int], q: Optional[int] = None) -> Word:
@@ -425,16 +418,17 @@ class InducedMoore:
 
     def last(self, word: Sequence[int]) -> tuple[int, bool]:
         """Like ``DetMoore.last``; the word is checked like in ``_walk``."""
-        trans = self._trans
-        q = self.initial
-        for i in word:
-            nxt = trans[q].get(i, -1)
-            if nxt == -1:
-                nxt = self.step(q, i)
-            if nxt is None:
-                self.input_alphabet.check_word(word)
-                return self._outs[q], False
-            q = nxt
+        trans, q = self._trans, self.initial
+        try:
+            for i in word:
+                nxt = (trans[q] or self._row(q))[i] if i >= 0 else None
+                if nxt is None:
+                    self.input_alphabet.check_word(word)
+                    return self._outs[q], False
+                q = nxt
+        except IndexError:
+            self.input_alphabet.check_word(word)
+            raise
         return self._outs[q], True
 
     def trajectory(self, word: Sequence[int]) -> list[tuple[int, ...]]:

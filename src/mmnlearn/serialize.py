@@ -31,17 +31,17 @@ class FormatError(ValueError):
 
 
 def machine_to_text(m: DetMoore) -> str:
+    ins, outs = m.input_alphabet.names(), m.output_alphabet.names()
     lines = ["moore"]
     lines.append("states %d initial %d" % (m.n_states, m.initial))
-    lines.append("input " + " ".join(m.input_alphabet.names()))
-    lines.append("output " + " ".join(m.output_alphabet.names()))
+    lines.append("input " + " ".join(ins))
+    lines.append("output " + " ".join(outs))
     for q in range(m.n_states):
-        lines.append("state %d %s" % (q, m.output_alphabet.name(m.outputs[q])))
+        lines.append("state %d %s" % (q, outs[m.outputs[q]]))
     for q in range(m.n_states):
-        for i in sorted(m.transitions[q]):
-            lines.append(
-                "trans %d %s %d" % (q, m.input_alphabet.name(i), m.transitions[q][i])
-            )
+        row = m.transitions[q]
+        for i in sorted(row):
+            lines.append("trans %d %s %d" % (q, ins[i], row[i]))
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -34,6 +34,9 @@ def cfg_binctr_ccwl(**kw):
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig("binctr:5", "ccwl")  # missing CA params
+    for algorithm in ("mnl", "cwl"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig("mqtt", algorithm, ca_params=CaParams())
     with pytest.raises(ConfigError):
         ExperimentConfig("binctr:5", "magic")
     with pytest.raises(ConfigError):

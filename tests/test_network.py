@@ -349,7 +349,7 @@ def memo_entries_agree(ind):
     for q in range(ind.n_explored()):
         config = ind.configuration(q)
         assert ind.output(q) == reference_system_output(mmn, config)
-        for i, t in ind._trans[q].items():
+        for i, t in enumerate(ind._trans[q] or ()):  # None: not yet filled
             want = reference_system_transition(mmn, config, i)
             assert want is None if t is None else ind.configuration(t) == want
             checked += 1
@@ -449,6 +449,30 @@ def test_rebound_kernel_matches_reference(topology, k, kind, seed):
     assert defined > 0
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_first_step_fills_a_whole_row_and_rebind_keeps_complete_rows(seed):
+    rng = random.Random(seed)
+    hyp, grown = growing_mmns(rand_mmn("star", 3, "lean", seed, mean=4), rng, [0.9, 1.0])
+    ind = InducedMoore(hyp)
+    n = len(ind.input_alphabet)
+    q = ind.initial
+    for _ in range(40):  # one step per visit, then on along the row
+        ind.step(q, rng.randrange(n))
+        assert len(ind._trans[q]) == n
+        q = rng.choice([t for t in ind._trans[q] if t is not None] or [ind.initial])
+    memo_entries_agree(ind)
+    rows = {q: row for q, row in enumerate(ind._trans) if row is not None}
+    partial = [q for q, row in rows.items() if None in row]
+    assert partial and len(partial) < len(rows)
+    ind.rebind(grown)
+    for q, row in rows.items():
+        assert (ind._trans[q] is row) == (q not in partial)
+    for q in partial:
+        ind.step(q, 0)
+        assert ind._trans[q] is not rows[q] and len(ind._trans[q]) == n
+    memo_entries_agree(ind)
+
+
 def test_rebind_completes_a_partial_move_vector():
     # c1 lacks its move on (a,3) in its initial state; stepping the initial
     # configuration on (b,c) builds c1's vector, partial on the a inputs.
@@ -466,7 +490,7 @@ def test_rebind_completes_a_partial_move_vector():
     assert ind.configuration(ind.step(0, ac)) == reference_system_transition(
         m, m.initial_configuration(), ac
     )
-    assert memo_entries_agree(ind) == 2
+    assert memo_entries_agree(ind) == len(m.system_inputs)
 
 
 def test_package_exports_resolve():
