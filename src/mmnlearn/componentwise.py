@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import groupby, product
 from typing import Optional
 
 from .lstar import LearningTimeout, OqCache, analyze_cex, lstar, table_oracle
@@ -134,7 +134,7 @@ def mnl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None,
         eq=None) -> LearnedSystem:
     """Monolithic L* over the system-level oracles."""
     res = lstar(
-        sul.system_inputs, sul.system_outputs, sul.oq, sul.oq_last, eq or sul.eq,
+        sul.system_inputs, sul.system_outputs, sul.oq, sul.oq_lasts, eq or sul.eq,
         memoize=memoize, deadline=deadline,
     )
     return LearnedSystem(machine=res.machine, max_cex_length=res.max_cex_length)
@@ -151,7 +151,7 @@ def cwl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None,
             sul.component_input_alphabet(c),
             sul.component_output_alphabet(c),
             partial(sul.oq_c, c),
-            partial(sul.oq_c_last, c),
+            partial(sul.oq_c_lasts, c),
             partial(eq_c, c),
             memoize=memoize, deadline=deadline,
         )
@@ -405,13 +405,10 @@ def ccwl(
     caches: dict[NodeId, OqCache] = {}
     tables: dict[NodeId, ObservationTable] = {}
     for c in sul.components:
-        cache = OqCache(partial(sul.oq_c, c), partial(sul.oq_c_last, c), enabled=memoize)
-        caches[c] = cache
-        tables[c] = ObservationTable(
-            sul.component_input_alphabet(c),
-            sul.component_output_alphabet(c),
-            table_oracle(cache),
-        )
+        cache = caches[c] = OqCache(
+            partial(sul.oq_c, c), partial(sul.oq_c_lasts, c), enabled=memoize)
+        tables[c] = ObservationTable(sul.component_input_alphabet(c),
+                                     sul.component_output_alphabet(c), table_oracle(cache))
     eq_calls = 0
     max_cex = 0
     induced: Optional[InducedMoore] = None  # the epoch's system machine
@@ -431,9 +428,9 @@ def ccwl(
             event_log.append(
                 "round proposals=%d new=%d" % (len(proposals), len(missing))
             )
-        if missing:
-            for c, s, i in missing:
-                tables[c].add_extension(s + (i,))
+        if missing:  # sorted by component: one batch per table, R order kept
+            for c, group in groupby(missing, lambda m: m[0]):
+                tables[c].add_extension(*(s + (i,) for _, s, i in group))
             continue
         eq_calls += 1
         if event_log is not None:

@@ -4,7 +4,8 @@
 ``ccwl`` runs its own loop over all component tables (``componentwise``)
 and shares only this module's cache, table oracle and counterexample
 analyzer.  The loop alternates closing the table, completing it with the
-1-step extensions of every S row, and asking equivalence queries.
+1-step extensions of every new S row (one ``add_extension`` batch), and
+asking equivalence queries.
 Counterexample handling adds a distinguishing *suffix* found by binary
 search over the split position, which keeps S rows pairwise distinct (no
 consistency check is ever needed).
@@ -12,9 +13,10 @@ consistency check is ever needed).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .alphabet import Alphabet
 from .machine import Counterexample, DetMoore, Word
@@ -27,30 +29,33 @@ class LearningTimeout(RuntimeError):
 
 @dataclass
 class OqCache:
-    """Per-learner memo of last output characters, keyed by query word, that
-    ``oq_last`` answers (``oq(w)[-1]``, charged like ``oq(w)``); ``oq`` is
-    for the counterexample analyzer's full traces.  Cache hits never reach
-    the oracle, so repeat lookups do not inflate the reset/step counters.
-    A disabled cache charges every lookup; tables never get one (see
-    :func:`table_oracle`)."""
+    """Per-learner memo of last output characters, keyed by query word,
+    answered by the batch oracle ``oq_lasts`` (``oq(w)[-1]`` per word, each
+    charged like ``oq(w)``); ``oq`` serves the analyzer's full traces.  Hits
+    never reach the oracle, so repeats are not charged.  A disabled cache
+    charges every ``last``; tables never get one (see :func:`table_oracle`)."""
 
     oq: Callable[[Word], tuple]
-    oq_last: Callable[[Word], int]
+    oq_lasts: Callable[[Sequence[Word]], list[int]]
     enabled: bool = True
     _seen: dict[Word, int] = field(default_factory=dict)
 
     def last(self, word: Word) -> int:
-        if not self.enabled:
-            return self.oq_last(word)
-        v = self._seen.get(word)
-        if v is None:
-            v = self._seen[word] = self.oq_last(word)
-        return v
+        """One word's last output: the analyzer's split probes."""
+        return (self.lasts if self.enabled else self.oq_lasts)((word,))[0]
+
+    def lasts(self, words: Sequence[Word]) -> list[int]:
+        """Last outputs of ``words``; the unseen ones asked in one batch, each once."""
+        seen = self._seen
+        new = {w: None for w in words if w not in seen}
+        if new:
+            seen.update(zip(new, self.oq_lasts(list(new))))
+        return [seen[w] for w in words]
 
 
-def table_oracle(cache: OqCache) -> Callable[[Word], int]:
-    """A table's ``oq_last``: ``cache`` if enabled, else a private memo."""
-    return (cache if cache.enabled else OqCache(cache.oq, cache.oq_last)).last
+def table_oracle(cache: OqCache) -> Callable[[Sequence[Word]], list[int]]:
+    """A table's batch oracle: ``cache`` if enabled, else a private memo."""
+    return (cache if cache.enabled else OqCache(cache.oq, cache.oq_lasts)).lasts
 
 
 def one_ext_lstar(table: ObservationTable, start: int = 0) -> list[tuple[Word, int]]:
@@ -108,14 +113,9 @@ def analyze_cex(
         assert nxt is not None, "cex path must stay inside the defined part"
         path.append(nxt)
 
-    probes: dict[int, int] = {}
-
+    @functools.cache  # one query per split position, also without memoization
     def probe(k: int) -> int:
-        v = probes.get(k)
-        if v is None:
-            v = cache.last(table.S[path[k]] + w[k:])
-            probes[k] = v
-        return v
+        return cache.last(table.S[path[k]] + w[k:])
 
     lo, hi = 0, len(w)
     if probe(lo) == probe(hi):
@@ -142,19 +142,19 @@ def lstar(
     input_alphabet: Alphabet,
     output_alphabet: Alphabet,
     oq: Callable[[Word], tuple],
-    oq_last: Callable[[Word], int],
+    oq_lasts: Callable[[Sequence[Word]], list[int]],
     eq: Callable[[DetMoore], "Counterexample | bool"],
     memoize: bool = True,
     deadline: Optional[float] = None,
 ) -> LstarResult:
     """Learn a Moore machine from output and equivalence oracles;
-    ``oq_last(w)`` must equal ``oq(w)[-1]`` (see :class:`OqCache`).
+    ``oq_lasts(ws)`` must be ``[oq(w)[-1] for w in ws]`` (see :class:`OqCache`).
 
     With ``memoize`` one cache serves the table and the counterexample
     analyzer, so no word is asked twice.  Without it the table still never
     asks one word twice, but every analyzer probe is charged.
     """
-    cache = OqCache(oq, oq_last, enabled=memoize)
+    cache = OqCache(oq, oq_lasts, enabled=memoize)
     table = ObservationTable(input_alphabet, output_alphabet, table_oracle(cache))
     max_cex = 0
     # S only grows and no row is ever removed, so only the states that
@@ -164,14 +164,10 @@ def lstar(
         if deadline is not None and time.monotonic() > deadline:
             raise LearningTimeout("learning budget exceeded")
         table.close()
-        missing = [
-            (s, i) for (s, i) in one_ext_lstar(table, scanned)
-            if s + (i,) not in table
-        ]
+        missing = [u for s, i in one_ext_lstar(table, scanned) if (u := s + (i,)) not in table]
         scanned = len(table.S)
         if missing:
-            for s, i in missing:
-                table.add_extension(s + (i,))
+            table.add_extension(*missing)
             continue
         hypothesis = table.hypothesis()
         verdict = eq(hypothesis)

@@ -45,21 +45,21 @@ class DetMoore:
     outputs: tuple[int, ...]  # per state: output sym
 
     def __post_init__(self):
-        if not 0 <= self.initial < self.n_states:
+        n = self.n_states
+        if not 0 <= self.initial < n:
             raise MooreError("initial state out of range")
-        if len(self.transitions) != self.n_states or len(self.outputs) != self.n_states:
+        if len(self.transitions) != n or len(self.outputs) != n:
             raise MooreError("per-state tables must cover all states")
-        for q, row in enumerate(self.transitions):
-            for i, t in row.items():
-                if i not in self.input_alphabet:
-                    raise MooreError("transition input %d not in alphabet" % i)
-                if not 0 <= t < self.n_states:
-                    raise MooreError("transition target %d out of range" % t)
-        for o in self.outputs:
-            if o not in self.output_alphabet:
-                raise MooreError("output symbol %d not in alphabet" % o)
+        n_in = len(self.input_alphabet)
+        for row in self.transitions:  # bounds by C-level min/max per row
+            if row and (min(row) < 0 or max(row) >= n_in):
+                raise MooreError("transition input not in alphabet: %r" % row)
+            if row and (min(row.values()) < 0 or max(row.values()) >= n):
+                raise MooreError("transition target out of range: %r" % row)
+        if min(self.outputs) < 0 or max(self.outputs) >= len(self.output_alphabet):
+            raise MooreError("output symbol not in alphabet: %r" % (self.outputs,))
 
-    # ``initial``, ``step``, ``output``, ``semantics``, ``last`` and the two
+    # ``initial``, ``step``, ``output``, ``semantics``, ``lasts`` and the two
     # alphabets are shared with the lazy ``network.InducedMoore``;
     # ``equivalent`` and the oracles use only this surface.
 
@@ -98,18 +98,22 @@ class DetMoore:
             out.append(outputs[q])
         return tuple(out)
 
-    def last(self, word: Sequence[int]) -> tuple[int, bool]:
-        """``(semantics(word)[-1], len(semantics(word)) == len(word) + 1)``,
-        walked and checked like ``semantics`` but building no output word."""
-        transitions = self.transitions
-        q = self.initial
-        for i in word:
-            t = transitions[q].get(i)
-            if t is None:
-                self.input_alphabet.check_word(word)
-                return self.outputs[q], False
-            q = t
-        return self.outputs[q], True
+    def lasts(self, words: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+        """Per word ``semantics(word)[-1]``, and how many words fall off; each
+        walked and checked like in ``semantics``, building no output word."""
+        transitions, outputs, initial = self.transitions, self.outputs, self.initial
+        lasts, fall_offs = [], 0
+        for word in words:
+            q = initial
+            for i in word:
+                t = transitions[q].get(i)
+                if t is None:
+                    self.input_alphabet.check_word(word)
+                    fall_offs += 1
+                    break
+                q = t
+            lasts.append(outputs[q])
+        return lasts, fall_offs
 
 
 # -- partitions ------------------------------------------------------------

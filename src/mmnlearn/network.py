@@ -243,7 +243,7 @@ class InducedMoore:
     successors in input order.  Every call may grow the memo, so an
     instance must not be shared across threads.  Exposes the surface of
     DetMoore that ``equivalent`` and the oracles use: ``initial``, ``step``,
-    ``output``, ``semantics``, ``last`` plus the two alphabets.
+    ``output``, ``semantics``, ``lasts`` plus the two alphabets.
 
     Rows are filled from one move vector per component: for state ``s``
     and base ``b`` (the input digits read off the other components' outputs
@@ -416,20 +416,25 @@ class InducedMoore:
         """Like ``DetMoore.semantics``."""
         return tuple(self._walk(word, self.initial if q is None else q, self._outs))
 
-    def last(self, word: Sequence[int]) -> tuple[int, bool]:
-        """Like ``DetMoore.last``; the word is checked like in ``_walk``."""
-        trans, q = self._trans, self.initial
+    def lasts(self, words: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+        """Like ``DetMoore.lasts``; each word is checked like in ``_walk``."""
+        trans, outs, initial = self._trans, self._outs, self.initial
+        lasts, fall_offs = [], 0
         try:
-            for i in word:
-                nxt = (trans[q] or self._row(q))[i] if i >= 0 else None
-                if nxt is None:
-                    self.input_alphabet.check_word(word)
-                    return self._outs[q], False
-                q = nxt
+            for word in words:
+                q = initial
+                for i in word:
+                    nxt = (trans[q] or self._row(q))[i] if i >= 0 else None
+                    if nxt is None:
+                        self.input_alphabet.check_word(word)
+                        fall_offs += 1
+                        break
+                    q = nxt
+                lasts.append(outs[q])
         except IndexError:
             self.input_alphabet.check_word(word)
             raise
-        return self._outs[q], True
+        return lasts, fall_offs
 
     def trajectory(self, word: Sequence[int]) -> list[tuple[int, ...]]:
         """The configurations a run visits, the initial one first, up to the

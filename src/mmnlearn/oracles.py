@@ -95,8 +95,8 @@ class QueryStats:
     eq_resets: int = 0
     eq_steps: int = 0
 
-    def _oq(self, steps: int) -> None:
-        self.oq_resets += 1
+    def _oq(self, steps: int, resets: int = 1) -> None:
+        self.oq_resets += resets
         self.oq_steps += steps
 
     def _eq(self) -> None:
@@ -162,23 +162,24 @@ class Sul:
         self.oracle_seconds += time.perf_counter() - t0
         return out
 
-    def oq_last(self, word: Sequence[int]) -> int:
-        """``oq(word)[-1]``, charged like ``oq`` but building no trace."""
+    def oq_lasts(self, words: Sequence[Sequence[int]]) -> list[int]:
+        """``[oq(w)[-1] for w in words]``, each word charged like ``oq``, no
+        trace built; a foreign symbol in any word raises before any charge."""
         t0 = time.perf_counter()
-        out, _ = self._induced.last(word)
-        self.stats._oq(len(word))
+        outs, _ = self._induced.lasts(words)
+        self.stats._oq(sum(map(len, words)), len(words))
         self.oracle_seconds += time.perf_counter() - t0
-        return out
+        return outs
 
-    def oq_c_last(self, c: NodeId, word: Sequence[int]) -> int:
-        """``oq_c(c, word)[-1]``, charged and flagged like ``oq_c``."""
+    def oq_c_lasts(self, c: NodeId, words: Sequence[Sequence[int]]) -> list[int]:
+        """``[oq_c(c, w)[-1] for w in words]``, charged and flagged like
+        ``oq_c`` per word and rejected whole like ``oq_lasts``."""
         t0 = time.perf_counter()
-        out, whole = self._mmn.machines[c].last(word)
-        self.stats._oq(len(word))
-        if not whole:
-            self.contract_violations += 1
+        outs, fall_offs = self._mmn.machines[c].lasts(words)
+        self.stats._oq(sum(map(len, words)), len(words))
+        self.contract_violations += fall_offs
         self.oracle_seconds += time.perf_counter() - t0
-        return out
+        return outs
 
     def oq_bar(self, word: Sequence[int]) -> list[tuple[int, ...]]:
         """Total output query: per-component output symbols at every tick.
@@ -190,8 +191,7 @@ class Sul:
         """
         t0 = time.perf_counter()
         configs = self._induced.trajectory(word)
-        for _ in self.components:
-            self.stats._oq(len(word))
+        self.stats._oq(len(self.components) * len(word), len(self.components))
         if len(configs) <= len(word):
             raise OracleContractError(
                 "total output query fell off a partial component"

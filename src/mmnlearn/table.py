@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from .alphabet import Alphabet
 from .machine import DetMoore, Word
@@ -21,20 +21,22 @@ class ObservationTable:
     word), R (1-step extensions) and E (suffixes, E[0] the empty word).
 
     The only storage is the row map S u R -> tuple over E; the cell of u and
-    e is the last output character of u·e.  Cells of different rows may
-    name the same word and each is asked of ``oq_last``, which should
-    therefore memoize.
+    e is the last output character of u·e.  Cells are asked of the batch
+    oracle ``oq_lasts``: one batch per ``add_extension`` (all its rows) and
+    one per ``add_suffix`` (the new column).  Cells of different rows may
+    name the same word, so ``oq_lasts`` should memoize.
     """
 
     def __init__(self, input_alphabet: Alphabet, output_alphabet: Alphabet,
-                 oq_last: Callable[[Word], int]):
+                 oq_lasts: Callable[[Sequence[Word]], Sequence[int]]):
         self.input_alphabet = input_alphabet
         self.output_alphabet = output_alphabet
-        self._oq_last = oq_last
+        self._oq_lasts = oq_lasts
         self.S: list[Word] = [()]
         self.R: list[Word] = []
         self.E: list[Word] = [()]
-        self._rows: dict[Word, tuple[int, ...]] = {(): (oq_last(()),)}
+        self._rows: dict[Word, tuple[int, ...]] = {(): tuple(oq_lasts([()]))}
+        self._closed = True  # until a row or a suffix is added
         self._hypothesis: DetMoore | None = None  # valid until S, R or E change
         self._new_epoch()
 
@@ -51,21 +53,29 @@ class ObservationTable:
     def row(self, prefix: Word) -> tuple[int, ...]:
         return self._rows[prefix]
 
-    def add_extension(self, prefix: Word) -> None:
-        assert prefix not in self._rows
-        self.R.append(prefix)
+    def add_extension(self, *prefixes: Word) -> None:
+        """Add ``prefixes`` to R, their cells asked in one batch."""
+        rows, E, before = self._rows, self.E, len(self._rows)
+        cells = self._oq_lasts([u + e for u in prefixes for e in E])
+        # zip over |E| references to one iterator cuts the cells into rows.
+        rows.update(zip(prefixes, zip(*[iter(cells)] * len(E))))
+        assert len(rows) == before + len(prefixes), "prefixes must be new and distinct"
+        self.R += prefixes
+        self._closed = False
         self._hypothesis = None
         if self._moves:
-            self._added.append(prefix)
-        self._rows[prefix] = tuple(self._oq_last(prefix + e) for e in self.E)
+            self._added += prefixes
 
     def add_suffix(self, suffix: Word) -> None:
+        """Add ``suffix`` to E, its column asked in one batch."""
         assert suffix not in self.E
         self.E.append(suffix)
+        self._closed = False
         self._hypothesis = None
         self._new_epoch()
-        for u in self.S + self.R:
-            self._rows[u] += (self._oq_last(u + suffix),)
+        rows, words = self._rows, self.S + self.R
+        for u, cell in zip(words, self._oq_lasts([u + suffix for u in words])):
+            rows[u] += (cell,)
 
     def close(self) -> None:
         """Move unmatched rows from R to S until closed.
@@ -73,6 +83,8 @@ class ObservationTable:
         One scan of R in insertion order suffices: S only grows, so a row
         matched once stays matched.
         """
+        if self._closed:
+            return
         rows = self._rows
         s_rows = {rows[s] for s in self.S}
         matched = []
@@ -85,6 +97,7 @@ class ObservationTable:
                 self.S.append(r)
                 self._hypothesis = None
         self.R = matched
+        self._closed = True
 
     def hypothesis(self) -> DetMoore:
         """Hypothesis machine from a closed table.

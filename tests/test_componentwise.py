@@ -45,11 +45,11 @@ from tests.test_network import memo_entries_agree, reference_quotient_mmn
 def fresh_tables(sul):
     caches, tables = {}, {}
     for c in sul.components:
-        cache = OqCache(partial(sul.oq_c, c), partial(sul.oq_c_last, c))
+        cache = OqCache(partial(sul.oq_c, c), partial(sul.oq_c_lasts, c))
         caches[c] = cache
         tables[c] = ObservationTable(
             sul.component_input_alphabet(c), sul.component_output_alphabet(c),
-            cache.last,
+            cache.lasts,
         )
     return tables, caches
 
@@ -635,6 +635,40 @@ def test_ccwl_rounds_share_the_network_wiring(monkeypatch):
     assert res.mmn is hypotheses[-1] and len(hypotheses) > 1
     assert products == []
     assert {id(h.network.wiring) for h in hypotheses} == {id(sul.network.wiring)}
+
+
+@pytest.mark.parametrize("ca", ["eq,dinf", "eqk:0,d:0"])
+def test_ccwl_completion_is_one_batch_per_table(monkeypatch, ca):
+    """A round adds each table's missing rows with one ``add_extension``
+    call, which asks its component's oracle at most one batch."""
+    params = CaParams.parse(*ca.split(","))
+    sul = build_sul(ExperimentConfig("mqtt", "ccwl", ca_params=params), 0)
+    rounds, batches = [], []
+    add_extension, oq_c_lasts = ObservationTable.add_extension, Sul.oq_c_lasts
+
+    def round_assemble(sul, tables):
+        rounds.append([])
+        return assemble(sul, tables)
+
+    def logged_add_extension(table, *prefixes):
+        asked = len(batches)
+        add_extension(table, *prefixes)
+        rounds[-1].append((table, len(prefixes), len(batches) - asked))
+
+    def logged_oq_c_lasts(sul, c, words):
+        batches.append(len(words))
+        return oq_c_lasts(sul, c, words)
+
+    monkeypatch.setattr(componentwise, "assemble", round_assemble)
+    monkeypatch.setattr(ObservationTable, "add_extension", logged_add_extension)
+    monkeypatch.setattr(Sul, "oq_c_lasts", logged_oq_c_lasts)
+    assert sul.validate_exact(ccwl(sul, params).mmn) is True
+    calls = [call for r in rounds for call in r]
+    for r in rounds:
+        assert len({id(table) for table, _, _ in r}) == len(r)
+    assert all(asked <= 1 for _, _, asked in calls)
+    assert max(n for _, n, _ in calls) > 1
+    assert sum(asked for _, _, asked in calls) > 0
 
 
 @pytest.mark.parametrize("ca", ["eq,dinf", "eqk:0,d:0", "eq,dmin"])

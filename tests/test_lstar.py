@@ -13,7 +13,8 @@ from tests.test_machine import random_machine
 
 class CountingOracle:
     """Output-query and equivalence oracles backed by a plain machine, with
-    exact equivalence EQs; ``oq_last`` counts like ``oq``."""
+    exact equivalence EQs; ``oq_lasts`` counts each word like ``oq`` and
+    logs each batch's size."""
 
     def __init__(self, machine):
         self.machine = machine
@@ -21,6 +22,7 @@ class CountingOracle:
         self.oq_chars = 0
         self.eq_calls = 0
         self.words = set()
+        self.batches = []
 
     def _charge(self, word):
         self.oq_calls += 1
@@ -31,9 +33,11 @@ class CountingOracle:
         self._charge(word)
         return self.machine.semantics(word)
 
-    def oq_last(self, word):
-        self._charge(word)
-        return self.machine.last(word)[0]
+    def oq_lasts(self, words):
+        self.batches.append(len(words))
+        for word in words:
+            self._charge(word)
+        return self.machine.lasts(words)[0]
 
     def eq(self, hypothesis):
         self.eq_calls += 1
@@ -66,8 +70,8 @@ def reference_hypothesis(tbl):
 
 def table_for(machine, oracle=None):
     oracle = oracle or CountingOracle(machine)
-    cache = OqCache(oracle.oq, oracle.oq_last)
-    tbl = ObservationTable(machine.input_alphabet, machine.output_alphabet, cache.last)
+    cache = OqCache(oracle.oq, oracle.oq_lasts)
+    tbl = ObservationTable(machine.input_alphabet, machine.output_alphabet, cache.lasts)
     return tbl, cache, oracle
 
 
@@ -221,7 +225,7 @@ def test_analyze_cex_progress_property():
     for _ in range(30):
         m = random_machine(rng, n_max=5, partial=False)
         oracle = CountingOracle(m)
-        res = lstar(m.input_alphabet, m.output_alphabet, oracle.oq, oracle.oq_last, oracle.eq)
+        res = lstar(m.input_alphabet, m.output_alphabet, oracle.oq, oracle.oq_lasts, oracle.eq)
         assert equivalent(res.machine, m) is True
 
 
@@ -232,7 +236,7 @@ def test_lstar_constant_machine_one_eq():
     ia, oa = Alphabet(["i", "j"]), Alphabet(["k"])
     m = DetMoore(ia, oa, 1, 0, ({0: 0, 1: 0},), (0,))
     oracle = CountingOracle(m)
-    res = lstar(ia, oa, oracle.oq, oracle.oq_last, oracle.eq)
+    res = lstar(ia, oa, oracle.oq, oracle.oq_lasts, oracle.eq)
     assert res.machine.n_states == 1
     assert oracle.eq_calls == 1
 
@@ -242,7 +246,7 @@ def test_lstar_learns_random_machines_exactly():
     for _ in range(25):
         m = random_machine(rng, n_max=8, partial=False)
         oracle = CountingOracle(m)
-        res = lstar(m.input_alphabet, m.output_alphabet, oracle.oq, oracle.oq_last, oracle.eq)
+        res = lstar(m.input_alphabet, m.output_alphabet, oracle.oq, oracle.oq_lasts, oracle.eq)
         assert equivalent(res.machine, m) is True
         assert res.machine.is_complete
         # never more states than the target (which may not be minimal)
@@ -254,7 +258,7 @@ def test_lstar_query_budget_sanity():
     for _ in range(15):
         m = random_machine(rng, n_max=8, partial=False)
         oracle = CountingOracle(m)
-        res = lstar(m.input_alphabet, m.output_alphabet, oracle.oq, oracle.oq_last, oracle.eq)
+        res = lstar(m.input_alphabet, m.output_alphabet, oracle.oq, oracle.oq_lasts, oracle.eq)
         n = res.machine.n_states
         ell = len(m.input_alphabet)
         import math
@@ -267,8 +271,65 @@ def test_lstar_query_budget_sanity():
 def test_lstar_memoization_avoids_duplicate_words():
     m = binary_counter(2).machines["c1"]
     oracle = CountingOracle(m)
-    lstar(m.input_alphabet, m.output_alphabet, oracle.oq, oracle.oq_last, oracle.eq)
+    lstar(m.input_alphabet, m.output_alphabet, oracle.oq, oracle.oq_lasts, oracle.eq)
     assert oracle.oq_calls == len(oracle.words)
+
+
+def test_cache_batch_asks_each_unseen_word_once():
+    m = binary_counter(2).machines["c1"]
+    oracle = CountingOracle(m)
+    cache = OqCache(oracle.oq, oracle.oq_lasts)
+    a, b, c = (0,), (1, 0), (1, 1, 0)
+    expect = {u: m.semantics(u)[-1] for u in ((), a, b, c)}
+    assert cache.lasts([a, b, a, (), b]) == [expect[u] for u in (a, b, a, (), b)]
+    assert oracle.batches == [3] and oracle.oq_calls == 3  # a, b and () once each
+    assert cache.lasts([c, a, c]) == [expect[c], expect[a], expect[c]]
+    assert oracle.batches == [3, 1] and oracle.oq_calls == 4
+    assert cache.lasts([b, c]) == [expect[b], expect[c]]
+    assert cache.last(a) == expect[a]
+    assert oracle.batches == [3, 1]  # all seen: the oracle is not asked
+    assert cache.last((0, 0)) == m.semantics((0, 0))[-1]
+    assert oracle.batches == [3, 1, 1]
+
+
+def test_lstar_completion_asks_its_oracle_once(monkeypatch):
+    """Each round that completes the table adds all its missing
+    extensions with one ``add_extension`` call, which asks the oracle at
+    most one batch (none if the cache holds every cell)."""
+    events, sizes = [], []
+
+    def logged(name):
+        method = getattr(ObservationTable, name)
+
+        def wrapper(self, *args):
+            events.append(name)
+            if name == "add_extension":
+                sizes.append(len(args))
+            return method(self, *args)
+
+        return wrapper
+
+    for name in ("close", "add_extension", "add_suffix"):
+        monkeypatch.setattr(ObservationTable, name, logged(name))
+    rng = random.Random(5)
+    for _ in range(10):
+        m = random_machine(rng, n_max=8, partial=False)
+        oracle = CountingOracle(m)
+
+        def oq_lasts(words):
+            events.append("oq_lasts")
+            return oracle.oq_lasts(words)
+
+        events.clear()
+        res = lstar(m.input_alphabet, m.output_alphabet, oracle.oq, oq_lasts, oracle.eq)
+        assert equivalent(res.machine, m) is True
+        completions = [
+            r.split() for r in " ".join(events).split("close") if "add_extension" in r
+        ]
+        assert ["add_extension", "oq_lasts"] in completions
+        assert all(r in (["add_extension", "oq_lasts"], ["add_extension"])
+                   for r in completions)
+    assert max(sizes) > 1  # a completion adds more than one row at once
 
 
 def test_lstar_no_memoization_still_correct():
@@ -277,7 +338,7 @@ def test_lstar_no_memoization_still_correct():
         m = binary_counter(2).machines["c2"]
         oracle = CountingOracle(m)
         res = lstar(
-            m.input_alphabet, m.output_alphabet, oracle.oq, oracle.oq_last, oracle.eq,
+            m.input_alphabet, m.output_alphabet, oracle.oq, oracle.oq_lasts, oracle.eq,
             memoize=memoize,
         )
         assert equivalent(res.machine, m) is True
@@ -285,7 +346,7 @@ def test_lstar_no_memoization_still_correct():
 
 def test_lstar_with_random_testing_eq_binary_counter():
     sul = Sul(binary_counter(5), EqTestConfig(seed=0))
-    res = lstar(sul.system_inputs, sul.system_outputs, sul.oq, sul.oq_last, sul.eq)
+    res = lstar(sul.system_inputs, sul.system_outputs, sul.oq, sul.oq_lasts, sul.eq)
     assert res.machine.n_states == 70
     assert res.machine.n_transitions() == 140
     assert sul.validate_exact(res.machine) is True
@@ -294,8 +355,8 @@ def test_lstar_with_random_testing_eq_binary_counter():
 def test_lstar_distinct_rows_monotone():
     m = binary_counter(2).machines["c2"]
     oracle = CountingOracle(m)
-    cache = OqCache(oracle.oq, oracle.oq_last)
-    tbl = ObservationTable(m.input_alphabet, m.output_alphabet, cache.last)
+    cache = OqCache(oracle.oq, oracle.oq_lasts)
+    tbl = ObservationTable(m.input_alphabet, m.output_alphabet, cache.lasts)
     history = [n_distinct_rows(tbl)]
     for _ in range(40):
         tbl.close()
@@ -317,7 +378,7 @@ def test_lstar_distinct_rows_monotone():
 
 def test_hypothesis_agrees_with_table():
     sul = Sul(binary_counter(3), EqTestConfig(seed=1))
-    res = lstar(sul.system_inputs, sul.system_outputs, sul.oq, sul.oq_last, sul.eq)
+    res = lstar(sul.system_inputs, sul.system_outputs, sul.oq, sul.oq_lasts, sul.eq)
     tbl = res.table
     h = res.machine
     assert h.is_complete
@@ -332,7 +393,8 @@ def test_rows_match_oracle_after_every_operation():
         m = random_machine(rng)
         inputs = list(m.input_alphabet)
         tbl = ObservationTable(
-            m.input_alphabet, m.output_alphabet, lambda w: m.semantics(w)[-1]
+            m.input_alphabet, m.output_alphabet,
+            lambda words: [m.semantics(w)[-1] for w in words],
         )
         probes = [()] + [(i,) for i in inputs] + [
             (i, j, k) for i in inputs for j in inputs for k in inputs
@@ -349,6 +411,7 @@ def test_rows_match_oracle_after_every_operation():
                     tbl.add_suffix(suffix)
             else:
                 tbl.close()
+                assert is_closed(tbl)
             members = set(tbl.S + tbl.R)
             assert len(members) == len(tbl.S) + len(tbl.R)
             for u in members:

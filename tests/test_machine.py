@@ -147,11 +147,11 @@ def test_foreign_symbol_rejected_anywhere_in_word():
     m2 = fig_c2()
     word = w(m2, "(c,2)", "(c,1)", "(c,1)")  # falls off at the last symbol
     assert len(m2.semantics(word)) == 3
-    assert m2.last(word) == (m2.semantics(word)[-1], False)
+    assert m2.lasts([word]) == ([m2.semantics(word)[-1]], 1)
     for bad in (-1, len(m2.input_alphabet)):
         for pos in range(len(word) + 1):  # pos 3 lies past the fall-off
             foreign = word[:pos] + (bad,) + word[pos:]
-            for walk in (m2.semantics, m2.last):
+            for walk in (m2.semantics, lambda w: m2.lasts([w])):
                 with pytest.raises(AlphabetError):
                     walk(foreign)
 
@@ -168,9 +168,11 @@ def drop_transitions(rng, machine, share):
 @given(st.integers(0, 2**30))
 def test_last_agrees_with_semantics(seed):
     """On random machines, partial ones included, and on the induced
-    machines of random MMNs, some with transitions dropped, ``last`` reads
-    the same run as ``semantics``; a foreign symbol after a fall-off still
-    raises, although ``last`` checks the word only at a fall-off."""
+    machines of random MMNs, some with transitions dropped, ``lasts`` of a
+    one-word batch reads the same run as ``semantics``; a foreign symbol
+    after a fall-off still raises, although ``lasts`` checks the word only
+    at a fall-off.  A batch of all the words answers each like its own
+    batch and counts the fall-offs."""
     rng = random.Random(seed)
     spec = "rand:%s2:lean:mean=3:seed=%d" % (rng.choice(("compl", "path", "star")), seed)
     mmn = from_spec(spec)
@@ -182,17 +184,22 @@ def test_last_agrees_with_semantics(seed):
                 InducedMoore(partial_mmn))
     for machine in machines:
         n = len(machine.input_alphabet)
+        words, singles = [], []
         for _ in range(25):
             word = tuple(rng.randrange(n) for _ in range(rng.randrange(9)))
-            got = machine.last(word)  # first, so that InducedMoore misses its memo
+            got = machine.lasts([word])  # first, so that InducedMoore misses its memo
             out = machine.semantics(word)
-            assert got == (out[-1], len(out) == len(word) + 1)
-            if got[1]:
+            assert got == ([out[-1]], int(len(out) != len(word) + 1))
+            words.append(word)
+            singles.append(got)
+            if not got[1]:
                 continue
             for bad in (-1, n, 99):  # inserted after word[len(out) - 1], the fall-off
                 pos = rng.randrange(len(out), len(word) + 1)
                 with pytest.raises(AlphabetError):
-                    machine.last(word[:pos] + (bad,) + word[pos:])
+                    machine.lasts([word[:pos] + (bad,) + word[pos:]])
+        assert machine.lasts(words) == (
+            [last for (last,), _ in singles], sum(f for _, f in singles))
 
 
 def test_semantics_from_given_state():

@@ -84,12 +84,12 @@ def test_oq_c_last_charges_and_flags_like_oq_c():
     full, last = sul_for(mmn_ex()), sul_for(mmn_ex())
     word = w(full.component_input_alphabet("c2"), *word_names)
     out = full.oq_c("c2", word)
-    assert last.oq_c_last("c2", word) == out[-1]
+    assert last.oq_c_lasts("c2", [word]) == [out[-1]]
     assert last.stats.snapshot() == full.stats.snapshot()
     assert last.stats.oq_resets == 1 and last.stats.oq_steps == 3
     assert last.contract_violations == full.contract_violations == 1
     # A complete run is charged alike and flags nothing.
-    assert last.oq_c_last("c2", word[:2]) == full.oq_c("c2", word[:2])[-1]
+    assert last.oq_c_lasts("c2", [word[:2]]) == [full.oq_c("c2", word[:2])[-1]]
     assert last.stats.snapshot() == full.stats.snapshot()
     assert last.contract_violations == 1
 
@@ -99,11 +99,56 @@ def test_oq_last_charges_like_oq():
     rng = random.Random(4)
     for n in range(8):
         word = tuple(rng.randrange(len(full.system_inputs)) for _ in range(n))
-        assert last.oq_last(word) == full.oq(word)[-1]
+        assert last.oq_lasts([word]) == [full.oq(word)[-1]]
     assert last.stats.snapshot() == full.stats.snapshot()
     with pytest.raises(AlphabetError):
-        last.oq_last((0, len(last.system_inputs)))
+        last.oq_lasts([(0, len(last.system_inputs))])
     assert last.stats.snapshot() == full.stats.snapshot()  # rejected: not charged
+
+
+def _batch_oracles(sul):
+    """(batch oracle, per-word full-trace oracle, input alphabet size) for
+    the system and for ``mmn_ex``'s partial component ``c2``."""
+    return [
+        (sul.oq_lasts, sul.oq, len(sul.system_inputs)),
+        (lambda ws: sul.oq_c_lasts("c2", ws), lambda x: sul.oq_c("c2", x),
+         len(sul.component_input_alphabet("c2"))),
+    ]
+
+
+def test_batch_last_queries_charge_the_per_word_sums():
+    """On random batches, repeats and the empty word included, a batch is
+    charged one reset and ``len(w)`` steps per word, and on the partial
+    component one contract violation per word that falls off: the sums
+    of asking each word on its own."""
+    rng = random.Random(11)
+    batched, single = sul_for(mmn_ex()), sul_for(mmn_ex())
+    for (lasts, _, n), (_, oq, _) in zip(_batch_oracles(batched), _batch_oracles(single)):
+        for _ in range(30):
+            words = [tuple(rng.randrange(n) for _ in range(rng.randrange(7)))
+                     for _ in range(rng.randrange(1, 12))]
+            words.append(rng.choice(words))
+            assert lasts(words) == [oq(word)[-1] for word in words]
+            assert batched.stats.snapshot() == single.stats.snapshot()
+            assert batched.contract_violations == single.contract_violations
+    assert batched.contract_violations > 0  # the component batches fell off
+
+
+def test_batch_with_foreign_symbol_raises_and_charges_nothing():
+    """A foreign symbol anywhere in a batch, also past a fall-off, raises
+    ``AlphabetError`` before any word of the batch is charged or flagged,
+    also words ahead of it that fell off."""
+    s = sul_for(mmn_ex())
+    c2 = s.component_input_alphabet("c2")
+    fall_off = w(c2, "(c,2)", "(c,1)", "(c,1)")  # c2 falls off; the system does not
+    for lasts, _, n in _batch_oracles(s):
+        good = [(), (0,), (n - 1, 0), fall_off]
+        for bad in (-1, n):
+            for foreign in ((bad,), (0, bad), fall_off + (bad,)):
+                with pytest.raises(AlphabetError):
+                    lasts(good + [foreign] + good)
+                assert s.stats.snapshot() == QueryStats().snapshot()
+                assert s.contract_violations == 0
 
 
 def test_oq_bar_examples():
