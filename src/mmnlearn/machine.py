@@ -59,9 +59,13 @@ class DetMoore:
         if min(self.outputs) < 0 or max(self.outputs) >= len(self.output_alphabet):
             raise MooreError("output symbol not in alphabet: %r" % (self.outputs,))
 
-    # ``initial``, ``step``, ``output``, ``semantics``, ``lasts`` and the two
-    # alphabets are shared with the lazy ``network.InducedMoore``;
+    # ``initial``, ``row``, ``step``, ``output``, ``semantics``, ``lasts`` and
+    # the two alphabets are shared with the lazy ``network.InducedMoore``;
     # ``equivalent`` and the oracles use only this surface.
+
+    def row(self, q: int) -> list[Optional[int]]:
+        """``q``'s successor on every input, ``None`` where undefined."""
+        return list(map(self.transitions[q].get, range(len(self.input_alphabet))))
 
     def step(self, q: int, i: int) -> Optional[int]:
         if i not in self.input_alphabet:
@@ -195,8 +199,8 @@ def equivalent(m1, m2):
 
     Returns EQUIVALENT or the shortest difference witness.  A defined-length
     mismatch counts as a difference.  Two passes: ``_agree`` decides in
-    near-linear work, stepping each machine at most (|Q1| + |Q2|) * |I|
-    times, where the product BFS visits every reachable state pair.  Its
+    near-linear work, reading at most |Q1| + |Q2| successor rows of each
+    machine, where the product BFS visits every reachable state pair.  Its
     merges do not follow BFS order, so only when it finds a difference does
     the BFS run, expanding in (discovery, input symbol id) order, to build
     the shortest witness.
@@ -236,21 +240,18 @@ def _agree(m1, m2) -> bool:
 
     States are keyed ``2q`` (``m1``) and ``2q + 1`` (``m2``) in one forest,
     kept shallow by union by size.  Every merged pair is queued and its
-    outputs and moves compared, so the merged classes form a bisimulation up
+    outputs and rows compared, so the merged classes form a bisimulation up
     to equivalence (Bonchi & Pous, POPL 2013) exactly when the machines agree.
-    Roots are found inline: a nested call per step costs more than the walk.
+    Roots are found inline: a nested call per move costs more than the walk.
     """
     up = {2 * m1.initial: 2 * m2.initial + 1}  # non-root key -> parent key
     size = {2 * m2.initial + 1: 2}  # root key -> class size, if above 1
-    inputs = tuple(m1.input_alphabet)
     queue = deque(((m1.initial, m2.initial),))
     while queue:
         q1, q2 = queue.popleft()
         if m1.output(q1) != m2.output(q2):
             return False
-        for i in inputs:
-            t1 = m1.step(q1, i)
-            t2 = m2.step(q2, i)
+        for t1, t2 in zip(m1.row(q1), m2.row(q2)):
             if t1 is None or t2 is None:
                 if t1 is None and t2 is None:
                     continue

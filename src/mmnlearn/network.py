@@ -236,20 +236,21 @@ class Mmn:
 class InducedMoore:
     """The system-level Moore machine of an MMN, materialized lazily.
 
-    Configurations are interned on first visit, their system output read
-    once off ``wiring.out_reads``.  The memo holds one *row* per
-    configuration: its successor on every system input, ``None`` for a
+    Configurations are interned on first visit.  The memo holds one *row*
+    per configuration: its successor on every system input, ``None`` for a
     fall-off, filled on the first step from it, which interns the
     successors in input order.  Every call may grow the memo, so an
     instance must not be shared across threads.  Exposes the surface of
-    DetMoore that ``equivalent`` and the oracles use: ``initial``, ``step``,
-    ``output``, ``semantics``, ``lasts`` plus the two alphabets.
+    DetMoore that ``equivalent`` and the oracles use: ``initial``, ``row``,
+    ``step``, ``output``, ``semantics``, ``lasts`` plus the two alphabets.
 
     Rows are filled from one move vector per component: for state ``s``
     and base ``b`` (the input digits read off the other components' outputs
     by ``wiring.feeds``), ``s``'s successors on ``b`` plus each system
-    input's part, ``None`` where undefined.  A vector is built once per
-    (component, state, base) between rebinds and shared.
+    input's part, ``None`` where undefined, built once per *move key*
+    ``s * |input alphabet| + b`` and shared.  Interning stores a
+    configuration's system output and move keys, summed off share tables:
+    per feed or system-output read, each source state's share.
 
     The MMN is immutable, but the memo may outlive it: ``rebind`` moves it
     to a hypothesis grown from it within one learning epoch (see ``ccwl``).
@@ -262,33 +263,50 @@ class InducedMoore:
         self._wiring = wiring = mmn.network.wiring
         self.input_alphabet = wiring.system_inputs
         self.output_alphabet = wiring.system_outputs
-        # Per component, state * |input alphabet| + base -> move vector.
+        # Per component, move key -> move vector.
         self._moves: list[dict[int, list[Optional[int]]]] = [dict() for _ in mmn.components]
         self._key_strides = [len(wiring.input_alphabets[c]) for c in mmn.components]
+        # Per read (src, stride, size, tstride), its share table; refilled in place.
+        self._shares = {read: self._share(read) for reads in [*wiring.feeds, wiring.out_reads]
+                        for read in reads}
+        self._feed_shares = [[(r[0], self._shares[r]) for r in feeds] for feeds in wiring.feeds]
+        self._out_shares = [(r[0], self._shares[r]) for r in wiring.out_reads]
         self._configs: list[tuple[int, ...]] = []
         self._ids: dict[tuple[int, ...], int] = {}
         self._trans: list[Optional[list[Optional[int]]]] = []  # rows; None until filled
         self._outs: list[int] = []
+        self._keys: list[list[int]] = []  # per configuration, its move keys
         self._partial: list[int] = []  # configurations whose row holds a fall-off
-        self._reached: Optional[tuple] = None  # contexts(None): seen, pairs, partial rows
+        self._reached: Optional[tuple] = None  # contexts(None): seen, keys, partial rows
         self._intern(mmn.initial_configuration())
 
     initial = 0
 
+    def _share(self, read: tuple[int, int, int, int]) -> list[int]:
+        src, stride, size, tstride = read
+        return [(o // stride) % size * tstride for o in self.mmn.outputs_by_comp[src]]
+
     def rebind(self, mmn: Mmn) -> None:
         """Continue on ``mmn``, grown from the current MMN within an epoch.
 
-        Growth only adds states and transitions, so interned configurations,
-        their outputs, the rows without a fall-off and an unbounded
-        ``contexts`` walk stay valid.  The rows with a fall-off and the move
-        vectors are forgotten, as a new transition may define a move they
-        hold undefined; the next unbounded walk re-expands those rows."""
-        self.mmn = mmn
+        Growth only adds states and transitions and keeps every output, so
+        interned configurations, their outputs and keys, the rows without a
+        fall-off and an unbounded ``contexts`` walk stay valid.  The rows
+        with a fall-off are forgotten, as a new transition may define a move
+        they hold undefined (the next unbounded walk re-expands them), and
+        so are the move vectors of each component whose (immutable)
+        ``transitions`` changed.  Share tables read off changed outputs are
+        refilled to cover the new states."""
+        old, self.mmn = self.mmn, mmn
         for q in self._partial:
             self._trans[q] = None
         self._partial = []
-        for moves in self._moves:
-            moves.clear()
+        for moves, was, now in zip(self._moves, old.transitions_by_comp, mmn.transitions_by_comp):
+            if was is not now:
+                moves.clear()
+        for read, share in self._shares.items():
+            if old.outputs_by_comp[read[0]] != mmn.outputs_by_comp[read[0]]:
+                share[:] = self._share(read)
 
     def configuration(self, q: int) -> tuple[int, ...]:
         return self._configs[q]
@@ -301,29 +319,29 @@ class InducedMoore:
         self._ids[config] = q
         self._configs.append(config)
         self._trans.append(None)
-        outputs = self.mmn.outputs_by_comp
         out = 0
-        for src, stride, size, tstride in self._wiring.out_reads:
-            out += ((outputs[src][config[src]] // stride) % size) * tstride
+        for src, share in self._out_shares:
+            out += share[config[src]]
         self._outs.append(out)
+        keys = []
+        for s, stride, feeds in zip(config, self._key_strides, self._feed_shares):
+            key = s * stride
+            for src, share in feeds:
+                key += share[config[src]]
+            keys.append(key)
+        self._keys.append(keys)
         return q
 
     def _row(self, q: int) -> list[Optional[int]]:
         """Fill configuration ``q``'s row from its components' move vectors."""
-        config = self._configs[q]
-        wiring, mmn = self._wiring, self.mmn
-        outs = [o[s] for o, s in zip(mmn.outputs_by_comp, config)]
         vecs = []
-        for s, feeds, sys_part, transitions, moves, stride in zip(
-            config, wiring.feeds, wiring.sys_parts, mmn.transitions_by_comp,
-            self._moves, self._key_strides,
+        for key, moves, stride, transitions, sys_part in zip(
+            self._keys[q], self._moves, self._key_strides,
+            self.mmn.transitions_by_comp, self._wiring.sys_parts,
         ):
-            base = 0
-            for src, dstride, size, tstride in feeds:
-                base += ((outs[src] // dstride) % size) * tstride
-            key = s * stride + base
             vec = moves.get(key)
             if vec is None:
+                s, base = divmod(key, stride)
                 from_s = transitions[s]
                 vec = moves[key] = [from_s.get(base + p) for p in sys_part]
             vecs.append(vec)
@@ -340,6 +358,9 @@ class InducedMoore:
         self._trans[q] = row
         return row
 
+    def row(self, q: int) -> list[Optional[int]]:
+        return self._trans[q] or self._row(q)
+
     def step(self, q: int, i: int) -> Optional[int]:
         row = self._trans[q] or self._row(q)
         if 0 <= i < len(row):
@@ -353,9 +374,10 @@ class InducedMoore:
         """Per component, the (state, base) pairs received at the
         configurations that a BFS of the memo visits (``base`` as in the move
         vectors), expanding ``depth`` levels and visiting the last; ``None``
-        expands all that is reachable.  An unbounded walk resumes the last
-        unbounded one and extends its sets (callers get frozen copies):
-        within an epoch defined moves persist, so it re-expands only the
+        expands all that is reachable.  It collects the visited
+        configurations' move keys, split into pairs on return.  An unbounded
+        walk resumes the last unbounded one and extends its key sets: within
+        an epoch defined moves persist, so it re-expands only the
         configurations whose rows held a fall-off that ``rebind`` forgot.  A
         bounded walk starts afresh: new moves can make a level shallower."""
         if depth is None and self._reached is not None:
@@ -367,31 +389,28 @@ class InducedMoore:
             received = [set() for _ in self.mmn.components]
             if depth is None:
                 self._reached = (seen, received, loose)
-        wiring, outputs = self._wiring, self.mmn.outputs_by_comp
-        configs, trans = self._configs, self._trans
+        keys, trans = self._keys, self._trans
+        visited = []
         level = 0
         while frontier:
-            expand = depth is None or level < depth
+            visited += frontier
+            if depth is not None and level >= depth:
+                break
             nxt = []
             for q in frontier:
-                config = configs[q]
-                outs = [o[s] for o, s in zip(outputs, config)]
-                for s, feeds, pairs in zip(config, wiring.feeds, received):
-                    base = 0
-                    for src, stride, size, tstride in feeds:
-                        base += ((outs[src] // stride) % size) * tstride
-                    pairs.add((s, base))
-                if expand:
-                    row = trans[q] or self._row(q)
-                    if None in row:
-                        loose.append(q)
-                    for t in row:
-                        if t is not None and t not in seen:
-                            seen.add(t)
-                            nxt.append(t)
+                row = trans[q] or self._row(q)
+                if None in row:
+                    loose.append(q)
+                for t in row:
+                    if t is not None and t not in seen:
+                        seen.add(t)
+                        nxt.append(t)
             frontier = nxt
             level += 1
-        return [frozenset(pairs) for pairs in received]
+        for got, visited_keys in zip(received, zip(*[keys[q] for q in visited])):
+            got.update(visited_keys)
+        return [frozenset(divmod(key, stride) for key in got)
+                for got, stride in zip(received, self._key_strides)]
 
     def _walk(self, word: Sequence[int], q: int, record: list) -> list:
         """``record`` at each state a run from ``q`` visits, up to the first

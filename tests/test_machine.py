@@ -559,8 +559,9 @@ def test_equivalent_agrees_with_brute_force():
 
 
 class StepBudget:
-    """The surface ``equivalent`` uses, failing once ``step`` is called more
-    than ``budget`` times.  A pass that never ends fails here too."""
+    """The surface ``equivalent`` uses, failing once more than ``budget``
+    moves are read: one per ``step``, one per entry of a ``row``.  A pass
+    that never ends fails here too."""
 
     def __init__(self, machine, budget):
         self.input_alphabet = machine.input_alphabet
@@ -568,12 +569,21 @@ class StepBudget:
         self.initial = machine.initial
         self.output = machine.output
         self._step = machine.step
+        self._row = machine.row
         self.budget = budget
 
-    def step(self, q, i):
-        self.budget -= 1
+    def _charge(self, moves):
+        self.budget -= moves
         assert self.budget >= 0, "step budget exceeded"
+
+    def step(self, q, i):
+        self._charge(1)
         return self._step(q, i)
+
+    def row(self, q):
+        row = self._row(q)
+        self._charge(len(row))
+        return row
 
 
 def reachable_states(m):
@@ -587,6 +597,27 @@ def reachable_states(m):
                 seen.add(t)
                 order.append(t)
     return order
+
+
+# What ``equivalent`` and the oracles read of a machine, eager or lazy.
+SHARED_SURFACE = ("initial", "row", "step", "output", "semantics", "lasts",
+                  "input_alphabet", "output_alphabet")
+
+
+def test_det_and_induced_machines_expose_one_surface():
+    rng = random.Random(7)
+    mmn = from_spec("rand:star2:lean:mean=3:seed=7")
+    partial_mmn = Mmn(mmn.network, {
+        c: drop_transitions(rng, m, 0.2) for c, m in mmn.machines.items()
+    })
+    fall_offs = 0
+    for machine in (random_machine(rng, n_max=8, partial=True), InducedMoore(partial_mmn)):
+        assert [name for name in SHARED_SURFACE if not hasattr(machine, name)] == []
+        for q in reachable_states(machine):
+            row = machine.row(q)
+            assert row == [machine.step(q, i) for i in machine.input_alphabet]
+            fall_offs += row.count(None)
+    assert fall_offs > 0
 
 
 def ring(n, ia, oa):

@@ -493,6 +493,61 @@ def test_rebind_completes_a_partial_move_vector():
     assert memo_entries_agree(ind) == len(m.system_inputs)
 
 
+def found_last(m, states):
+    """``m`` with its states renumbered so that ``states`` come last, in
+    order: a hypothesis that finds them last."""
+    order = [q for q in range(m.n_states) if q not in states] + list(states)
+    label = {q: new for new, q in enumerate(order)}
+    return replace(m, initial=label[m.initial], outputs=tuple(m.outputs[q] for q in order),
+                   transitions=tuple({i: label[t] for i, t in m.transitions[q].items()}
+                                     for q in order))
+
+
+def first_states(m, n):
+    """``m`` cut down to its first ``n`` states: the moves into the others
+    dropped, as in a hypothesis before those states are found."""
+    return replace(m, n_states=n, outputs=m.outputs[:n], transitions=tuple(
+        {i: t for i, t in row.items() if t < n} for row in m.transitions[:n]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("topology,k,kind", KERNEL_MMNS)
+def test_rebind_keeps_the_vectors_of_unchanged_components(topology, k, kind, seed):
+    # One component gains a state per rebind, a new outputs tuple each
+    # time; the others keep their machine objects, and with them their
+    # move vectors.  The states gained are among those of the first
+    # configurations, so that the reference runs reach them.
+    rng = random.Random(seed)
+    m = rand_mmn(topology, k, kind, seed, mean=4)
+    probe = InducedMoore(m)
+    near = []
+    while len(near) < min(300, probe.n_explored()):  # rows in id order: breadth first
+        probe.row(len(near))
+        near.append(probe.configuration(len(near)))
+    grew = 0
+    for j, c in enumerate(m.components):
+        states = list(dict.fromkeys(config[j] for config in near))[1:][-2:]
+        if not states:  # the component never leaves its initial state
+            continue
+        full = found_last(m.machines[c], states)
+        grown = [first_states(full, full.n_states - d) for d in range(len(states), 0, -1)]
+        hyps = [Mmn(m.network, {**m.machines, c: g}, check=False) for g in grown + [full]]
+        ind = InducedMoore(hyps[0])
+        assert_runs_match_reference(ind, rng)
+        for hyp in hyps[1:]:
+            kept = [dict(moves) for moves in ind._moves]
+            ind.rebind(hyp)
+            assert ind._moves[j] == {}
+            others = [i for i in range(len(kept)) if i != j]
+            assert any(kept[i] for i in others)
+            assert all(ind._moves[i] == kept[i] for i in others)
+            assert_runs_match_reference(ind, rng)
+            new = hyp.machines[c].n_states - 1
+            assert any(ind.configuration(q)[j] == new for q in range(ind.n_explored()))
+            grew += 1
+    assert grew > 0
+
+
 def test_package_exports_resolve():
     assert [name for name in mmnlearn.__all__ if not hasattr(mmnlearn, name)] == []
 
