@@ -198,6 +198,7 @@ def one_ext_er(
     params: CaParams,
     tables: dict[NodeId, ObservationTable],
     induced: Optional[InducedMoore] = None,
+    partitions: Optional[dict[NodeId, tuple[DetMoore, StatePartition]]] = None,
 ) -> set[tuple[NodeId, Word, int]]:
     """Contextual completion rule.
 
@@ -211,7 +212,9 @@ def one_ext_er(
     returns the full proposal set either way.  ``eqk`` and ``uni`` walk the
     blocks of each component's states under the abstraction, reading the
     blocks' outputs and moves off the hypothesis tables, so no quotient
-    machine is built.  Both walks compose the components by the network's
+    machine is built.  ``partitions`` keeps each component's partition with
+    the machine it was built from, rebuilt only once the table hands out
+    another machine.  Both walks compose the components by the network's
     ``wiring``, which every round's hypothesis shares.  Only the quotient
     walk enumerates output sets, so only there is that enumeration capped:
     exceeding ``OUTPUT_CAP`` at one configuration aborts with a diagnostic
@@ -226,11 +229,13 @@ def one_ext_er(
             for c, pairs, sys_part in zip(hypothesis.components, received, sys_parts)
             for s, b in pairs for p in sys_part
         }
-    partitions = {
-        c: _partition_for(params, hypothesis.machines[c])
-        for c in hypothesis.components
-    }
-    return _walk_quotient(hypothesis, partitions, tables, depth)
+    kept = {} if partitions is None else partitions
+    for c in hypothesis.components:
+        machine = hypothesis.machines[c]
+        if c not in kept or kept[c][0] is not machine:
+            kept[c] = (machine, _partition_for(params, machine))
+    return _walk_quotient(
+        hypothesis, {c: kept[c][1] for c in hypothesis.components}, tables, depth)
 
 
 def _walk_quotient(
@@ -400,7 +405,11 @@ def ccwl(
     epoch share one ``InducedMoore`` memo, rebound to each new hypothesis.
     The ``eq`` context analysis walks it (see :func:`one_ext_er`) and the
     EQs run on it, so the non-initial configurations that ``event_log``
-    reports per EQ (``known``) include those the analysis interned."""
+    reports per EQ (``known``) include those the analysis interned.
+
+    Rounds carry over, for the epoch, the memo and ``Sul.eq``'s product for
+    it (dropped by the last EQ); for the job, the last round's proposals (in
+    their tables by now: not tested again) and unchanged machines' partitions."""
     eq = eq or sul.eq
     caches: dict[NodeId, OqCache] = {}
     tables: dict[NodeId, ObservationTable] = {}
@@ -412,6 +421,8 @@ def ccwl(
     eq_calls = 0
     max_cex = 0
     induced: Optional[InducedMoore] = None  # the epoch's system machine
+    tested: set[tuple[NodeId, Word, int]] = set()  # the last round's proposals
+    partitions: dict[NodeId, tuple[DetMoore, StatePartition]] = {}
     while True:
         if deadline is not None and time.monotonic() > deadline:
             raise LearningTimeout("learning budget exceeded")
@@ -420,10 +431,14 @@ def ccwl(
         hypothesis = assemble(sul, tables)
         induced = induced or InducedMoore(hypothesis)  # one per epoch
         induced.rebind(hypothesis)
-        proposals = one_ext_er(hypothesis, params, tables, induced)
+        if params.abstraction == ABS_EQ:
+            proposals = one_ext_er(hypothesis, params, tables, induced)
+        else:
+            proposals = one_ext_er(hypothesis, params, tables, partitions=partitions)
         missing = sorted(
-            (c, s, i) for (c, s, i) in proposals if s + (i,) not in tables[c]
+            (c, s, i) for (c, s, i) in proposals - tested if s + (i,) not in tables[c]
         )
+        tested = proposals
         if event_log is not None:
             event_log.append(
                 "round proposals=%d new=%d" % (len(proposals), len(missing))
@@ -446,4 +461,4 @@ def ccwl(
         if event_log is not None:
             event_log.append("eq cex len=%d" % len(verdict.word))
         if analyze_cex_componentwise(induced, verdict.word, sul, tables, caches, event_log):
-            induced = None  # a new epoch: states may split and renumber
+            induced = None  # a new epoch: states may split, moves may change

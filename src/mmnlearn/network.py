@@ -296,7 +296,8 @@ class InducedMoore:
         they hold undefined (the next unbounded walk re-expands them), and
         so are the move vectors of each component whose (immutable)
         ``transitions`` changed.  Share tables read off changed outputs are
-        refilled to cover the new states."""
+        refilled to cover the new states.  ``Sul.eq`` keeps its product for
+        this memo across rebinds, on the same contract: it only adds."""
         old, self.mmn = self.mmn, mmn
         for q in self._partial:
             self._trans[q] = None

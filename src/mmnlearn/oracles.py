@@ -123,6 +123,7 @@ class Sul:
         self.eq_config = eq_config or EqTestConfig()
         self._rng = random.Random(self.eq_config.seed)
         self.stats = QueryStats()
+        self._product = None  # the EQ product kept for an InducedMoore (see eq)
         self.oracle_seconds = 0.0
         self.contract_violations = 0
 
@@ -213,14 +214,19 @@ class Sul:
         is charged whole, but both machines are stepped only up to the first
         difference, and not at all once the query's product rows are full
         (see :meth:`_random_eq`).
+
+        An ``InducedMoore``'s product is kept for the next EQ on it, which
+        may only follow rebinds within an epoch (``InducedMoore.rebind``), as
+        in ``ccwl``; an EQ that finds no counterexample, or runs on another
+        machine, drops it.
         """
-        return self._random_eq(self._induced, hypothesis)
+        return self._random_eq(self._induced, hypothesis, isinstance(hypothesis, InducedMoore))
 
     def eq_c(self, c: NodeId, hypothesis) -> "Counterexample | bool":
         """Component-level testing EQ over the component's own alphabet."""
         return self._random_eq(self._mmn.machines[c], hypothesis)
 
-    def _random_eq(self, target, hypothesis):
+    def _random_eq(self, target, hypothesis, keep: bool = False):
         """Compare ``target`` and ``hypothesis`` on random words, pair by pair.
 
         Each word is drawn whole and charged (one reset, one step per
@@ -242,6 +248,12 @@ class Sul:
         generator outputs as one call per word), charged, and not walked.
         Under an alphabet check the rows never fill, as a foreign symbol's
         word raises before it is walked.
+
+        With ``keep`` and no check, a counterexample leaves the product in
+        ``_product`` for the next EQ on ``hypothesis``.  As a rebind may
+        define a move that fell off, that EQ first resets every move the
+        product marked ``_DIFF`` or ``_AGREE`` to ``_UNKNOWN`` and lowers
+        ``known`` to match, so the rows again hold no ``_DIFF``.
         """
         t0 = time.perf_counter()
         stats, rng, cfg = self.stats, self._rng, self.eq_config
@@ -252,19 +264,26 @@ class Sul:
             check = hypothesis.input_alphabet.check_word
         t_step, t_out = target.step, target.output
         h_step, h_out = hypothesis.step, hypothesis.output
-        pairs = [(target.initial, hypothesis.initial)]
-        ids = {pairs[0]: 0}
-        rows = [[_UNKNOWN] * n_in]
-        known = 0
+        kept, self._product = self._product, None  # an EQ that raises keeps none
+        if keep and kept is not None and kept[0] is hypothesis:
+            _, pairs, ids, rows, marks, known = kept
+            for p, i in marks:
+                rows[p][i] = _UNKNOWN
+            known, marks = known - len(marks), []
+        else:
+            pairs = [(target.initial, hypothesis.initial)]
+            ids = {pairs[0]: 0}
+            rows = [[_UNKNOWN] * n_in]
+            marks = []  # the (pair, input) moves marked _DIFF or _AGREE
+            known = 0
 
         def move(p: int, i: int) -> int:
             nonlocal known
             q1, q2 = pairs[p]
             t1, t2 = t_step(q1, i), h_step(q2, i)
-            if t1 is None or t2 is None:
+            if t1 is None or t2 is None or t_out(t1) != h_out(t2):
                 nxt = _AGREE if t1 is None and t2 is None else _DIFF
-            elif t_out(t1) != h_out(t2):
-                nxt = _DIFF
+                marks.append((p, i))
             else:
                 pair = (t1, t2)
                 nxt = ids.setdefault(pair, len(pairs))
@@ -300,6 +319,8 @@ class Sul:
                 stats.eq_resets += left
                 stats.eq_steps += left * cfg.word_length
                 break
+        if keep and check is None and result is not EQUIVALENT:
+            self._product = (hypothesis, pairs, ids, rows, marks, known)
         self.oracle_seconds += time.perf_counter() - t0
         return result
 

@@ -585,6 +585,46 @@ def test_ccwl_event_log():
     assert known[0] == 0 and max(known[1:]) > 0
 
 
+@pytest.mark.parametrize("ca", ["eqk:0,d:0", "eq,dmin", "eq,dinf"])
+def test_ccwl_keeps_the_eq_product_per_epoch_and_releases_it(ca):
+    # After every EQ with a counterexample the SUL keeps the product for the
+    # epoch's memo; the last EQ drops it, so ccwl returns with none kept.
+    params = CaParams.parse(*ca.split(","))
+    sul = build_sul(ExperimentConfig("mqtt", "ccwl", ca_params=params), 0)
+    kept = []
+
+    def recording_eq(ind):
+        verdict = sul.eq(ind)
+        kept.append(sul._product is not None and sul._product[0] is ind)
+        return verdict
+
+    res = ccwl(sul, params, eq=recording_eq)
+    assert sul._product is None
+    assert len(kept) > 1 and all(kept[:-1]) and not kept[-1]
+    assert sul.validate_exact(res.mmn) is True
+
+
+@pytest.mark.parametrize("ca", ["eqk:0,d:0", "eqk:1,dmin", "uni,d:0"])
+def test_ccwl_partitions_each_hypothesis_machine_once(monkeypatch, ca):
+    # Tables hand out the same machine while unchanged, and ccwl keeps the
+    # partitions per machine: each machine is partitioned once, fewer times
+    # than once per component and round.
+    params = CaParams.parse(*ca.split(","))
+    sul = build_sul(ExperimentConfig("mqtt", "ccwl", ca_params=params), 0)
+    built = []  # holds the machines, so their ids stay unique
+
+    def counting_partition_for(params, machine):
+        built.append(machine)
+        return _partition_for(params, machine)
+
+    monkeypatch.setattr(componentwise, "_partition_for", counting_partition_for)
+    log = []
+    assert sul.validate_exact(ccwl(sul, params, event_log=log).mmn) is True
+    rounds = sum(line.startswith("round ") for line in log)
+    assert len({id(m) for m in built}) == len(built)
+    assert len(sul.components) <= len(built) < rounds * len(sul.components)
+
+
 def test_analyze_cex_progress_across_eq_rounds():
     # with depth 0 every EQ round must grow some table
     sul = Sul(binary_counter(4), EqTestConfig(seed=5))

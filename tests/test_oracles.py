@@ -431,10 +431,25 @@ def partial_mmn(mmn, rng, keep):
     return Mmn(mmn.network, machines, check=False)
 
 
+def mark_kinds(sul, target, memo):
+    """The kinds of the marks in the product ``sul`` keeps for ``memo``:
+    ``fall-off`` where a side has no move, else ``output``."""
+    _, pairs, _, _, marks, _ = sul._product
+    kinds = set()
+    for p, i in marks:
+        t, h = pairs[p]
+        t, h = target.step(t, i), memo.step(h, i)
+        kinds.add("fall-off" if None in (t, h) else "output")
+    return kinds
+
+
 @pytest.mark.parametrize("flip", [False, True])
 def test_product_eq_matches_reference_on_rebound_induced_machines(flip):
-    # As in ccwl: one hypothesis memo serves an EQ on a partial hypothesis,
-    # is rebound to a hypothesis grown from it, and serves the next EQ.
+    # As in ccwl: Sul.eq keeps its product for one hypothesis memo, which is
+    # rebound to a hypothesis grown from the last between two EQs.  Partial
+    # hypotheses leave fall-off marks and, with a flipped component, output
+    # marks, which the next EQ must reset: after every EQ the verdict, the
+    # charges and the generator state equal the reference's.
     target = rand_mmn("star", 3, "lean", 2, mean=5)
     full = target
     if flip:
@@ -445,17 +460,43 @@ def test_product_eq_matches_reference_on_rebound_induced_machines(flip):
                            m.initial, m.transitions, outs)
         full = Mmn(target.network, {**target.machines, c: flipped}, check=False)
     rng = random.Random(3)
-    grown = partial_mmn(full, rng, 0.9)
-    hyps = [partial_mmn(grown, rng, 0.8), grown, full]
-    memo, sul_side = InducedMoore(hyps[0]), InducedMoore(target)
+    hyps = [full]
+    for keep in (0.95, 0.9, 0.85, 0.8):
+        hyps.insert(0, partial_mmn(hyps[0], rng, keep))
+    cfg = EqTestConfig(20, 30, 5)
+    sul, memo = Sul(target, cfg), InducedMoore(hyps[0])
+    ref_rng, ref_stats = random.Random(cfg.seed), QueryStats()
+    verdicts, kinds, products = [], set(), []
+    for hyp in hyps:
+        memo.rebind(hyp)  # a no-op on the first hypothesis
+        got = sul.eq(memo)
+        assert got == reference_eq(InducedMoore(target), InducedMoore(hyp), cfg,
+                                   ref_rng, ref_stats)
+        assert sul.stats.snapshot() == ref_stats.snapshot()
+        assert sul._rng.getstate() == ref_rng.getstate()
+        assert (sul._product is None) == (got is True)
+        if sul._product is not None:
+            assert sul._product[0] is memo
+            products.append(sul._product[1])  # the pairs list grows in place
+            kinds |= mark_kinds(sul, sul._induced, memo)
+        verdicts.append(got is True)
+    assert verdicts == [False] * (len(hyps) - 1) + [not flip]
+    assert all(pairs is products[0] for pairs in products)
+    assert kinds == ({"fall-off", "output"} if flip else {"fall-off"})
 
-    def rebound_pairs():  # consumed one EQ at a time
-        for hyp in hyps:
-            memo.rebind(hyp)  # a no-op on the first hypothesis
-            yield sul_side, memo, InducedMoore(target), InducedMoore(hyp)
 
-    verdicts = assert_eqs_match_reference(rebound_pairs(), EqTestConfig(20, 30, 5))
-    assert verdicts == [False, False, not flip]
+def test_eq_keeps_no_product_for_det_machines():
+    # mnl's and eq_c's hypotheses are new DetMoore objects every round.
+    s = sul_for(binary_counter(2), seed=9)
+    c1 = s._mmn.machines["c1"]
+    wrong = DetMoore(c1.input_alphabet, c1.output_alphabet, c1.n_states, c1.initial,
+                     c1.transitions, tuple((o + 1) % 2 for o in c1.outputs))
+    assert isinstance(s.eq_c("c1", wrong), Counterexample) and s._product is None
+    system = materialize(s._mmn)
+    assert s.eq(system) is True and s._product is None
+    memo = InducedMoore(partial_mmn(s._mmn, random.Random(0), 0.5))
+    assert isinstance(s.eq(memo), Counterexample) and s._product[0] is memo
+    assert s.eq(system) is True and s._product is None
 
 
 def recorded_draws(monkeypatch):
