@@ -73,7 +73,7 @@ def _config_from_args(args) -> ExperimentConfig:
         benchmark=args.bench,
         algorithm=args.algo,
         ca_params=ca,
-        eq_config=EqTestConfig(args.eq_words, args.eq_len, args.seed),
+        eq_config=EqTestConfig(args.eq_words, args.eq_len),
         seed=args.seed,
         instances=instances,
         timeout_s=args.timeout,

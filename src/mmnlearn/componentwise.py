@@ -19,7 +19,7 @@ from functools import partial
 from itertools import groupby, product
 from typing import Optional
 
-from .lstar import LearningTimeout, OqCache, analyze_cex, lstar, table_oracle
+from .lstar import LearningTimeout, OqCache, analyze_cex, lstar
 from .machine import (
     DetMoore,
     StatePartition,
@@ -417,7 +417,7 @@ def ccwl(
         cache = caches[c] = OqCache(
             partial(sul.oq_c, c), partial(sul.oq_c_lasts, c), enabled=memoize)
         tables[c] = ObservationTable(sul.component_input_alphabet(c),
-                                     sul.component_output_alphabet(c), table_oracle(cache))
+                                     sul.component_output_alphabet(c), cache.lasts)
     eq_calls = 0
     max_cex = 0
     induced: Optional[InducedMoore] = None  # the epoch's system machine
@@ -431,10 +431,7 @@ def ccwl(
         hypothesis = assemble(sul, tables)
         induced = induced or InducedMoore(hypothesis)  # one per epoch
         induced.rebind(hypothesis)
-        if params.abstraction == ABS_EQ:
-            proposals = one_ext_er(hypothesis, params, tables, induced)
-        else:
-            proposals = one_ext_er(hypothesis, params, tables, partitions=partitions)
+        proposals = one_ext_er(hypothesis, params, tables, induced, partitions)
         missing = sorted(
             (c, s, i) for (c, s, i) in proposals - tested if s + (i,) not in tables[c]
         )

@@ -48,6 +48,7 @@ class ExperimentConfig:
     benchmark: str
     algorithm: str
     ca_params: Optional[CaParams] = None
+    # Only words_per_eq and word_length are read: EQs draw from the instance seed.
     eq_config: EqTestConfig = field(default_factory=EqTestConfig)
     seed: int = 0
     instances: int = 1

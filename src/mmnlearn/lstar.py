@@ -2,10 +2,10 @@
 
 ``mnl`` runs it on the whole system and ``cwl`` once per component;
 ``ccwl`` runs its own loop over all component tables (``componentwise``)
-and shares only this module's cache, table oracle and counterexample
-analyzer.  The loop alternates closing the table, completing it with the
-1-step extensions of every new S row (one ``add_extension`` batch), and
-asking equivalence queries.
+and shares only this module's cache and counterexample analyzer.  The
+loop alternates closing the table, completing it with the 1-step
+extensions of every new S row (one ``add_extension`` batch), and asking
+equivalence queries.
 Counterexample handling adds a distinguishing *suffix* found by binary
 search over the split position, which keeps S rows pairwise distinct (no
 consistency check is ever needed).
@@ -32,8 +32,9 @@ class OqCache:
     """Per-learner memo of last output characters, keyed by query word,
     answered by the batch oracle ``oq_lasts`` (``oq(w)[-1]`` per word, each
     charged like ``oq(w)``); ``oq`` serves the analyzer's full traces.  Hits
-    never reach the oracle, so repeats are not charged.  A disabled cache
-    charges every ``last``; tables never get one (see :func:`table_oracle`)."""
+    never reach the oracle, so repeats are not charged.  Tables always read
+    ``lasts``, which memoises also when disabled; a disabled cache only
+    charges every ``last`` (the analyzer's probes)."""
 
     oq: Callable[[Word], tuple]
     oq_lasts: Callable[[Sequence[Word]], list[int]]
@@ -51,11 +52,6 @@ class OqCache:
         if new:
             seen.update(zip(new, self.oq_lasts(list(new))))
         return [seen[w] for w in words]
-
-
-def table_oracle(cache: OqCache) -> Callable[[Sequence[Word]], list[int]]:
-    """A table's batch oracle: ``cache`` if enabled, else a private memo."""
-    return (cache if cache.enabled else OqCache(cache.oq, cache.oq_lasts)).lasts
 
 
 def one_ext_lstar(table: ObservationTable, start: int = 0) -> list[tuple[Word, int]]:
@@ -155,7 +151,7 @@ def lstar(
     asks one word twice, but every analyzer probe is charged.
     """
     cache = OqCache(oq, oq_lasts, enabled=memoize)
-    table = ObservationTable(input_alphabet, output_alphabet, table_oracle(cache))
+    table = ObservationTable(input_alphabet, output_alphabet, cache.lasts)
     max_cex = 0
     # S only grows and no row is ever removed, so only the states that
     # ``close`` appended since the last scan can lack extensions.

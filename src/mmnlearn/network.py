@@ -124,7 +124,6 @@ class Wiring:
         self.output_alphabets = {c: product(net.out_edges[c]) for c in comps}
         self.system_inputs = product(net.system_in_edges)
         self.system_outputs = product(net.system_out_edges)
-        self.total_outputs = product_alphabet((c, self.output_alphabets[c]) for c in comps)
 
         def reader(alpha: Alphabet, e: Edge) -> tuple[int, int]:
             # (stride, size) of edge e's digit in a symbol of alpha.
@@ -296,8 +295,9 @@ class InducedMoore:
         they hold undefined (the next unbounded walk re-expands them), and
         so are the move vectors of each component whose (immutable)
         ``transitions`` changed.  Share tables read off changed outputs are
-        refilled to cover the new states.  ``Sul.eq`` keeps its product for
-        this memo across rebinds, on the same contract: it only adds."""
+        refilled to cover the new states.  A counterexample EQ's product,
+        which ``Sul.eq`` keeps per hypothesis object, stays valid across
+        rebinds on the same contract: growth only adds."""
         old, self.mmn = self.mmn, mmn
         for q in self._partial:
             self._trans[q] = None

@@ -123,7 +123,8 @@ class Sul:
         self.eq_config = eq_config or EqTestConfig()
         self._rng = random.Random(self.eq_config.seed)
         self.stats = QueryStats()
-        self._product = None  # the EQ product kept for an InducedMoore (see eq)
+        self._product = None  # the last counterexample EQ's product (see _random_eq)
+        self._product_target = None  # the SUL machine it was built against
         self.oracle_seconds = 0.0
         self.contract_violations = 0
 
@@ -140,43 +141,42 @@ class Sul:
         configuration.  One reset plus one step per character, charged once
         the induced machine has accepted the word (``AlphabetError`` on a
         foreign symbol)."""
-        t0 = time.perf_counter()
-        out = self._induced.semantics(word)
-        self.stats._oq(len(word))
-        self.oracle_seconds += time.perf_counter() - t0
-        return out
+        return self._trace(self._induced, word)
 
     def oq_c(self, c: NodeId, word: Sequence[int]) -> Word:
-        """Component-level output query against component ``c`` alone.
-
-        Charged like ``oq``, once the component has accepted the word.  A
-        word falling off a partial component returns the truncated trace
-        and bumps ``contract_violations``: learning declares completeness
-        over the component alphabets, so truncation is worth flagging, but
-        the caller decides whether it matters.
-        """
-        t0 = time.perf_counter()
-        out = self._mmn.machines[c].semantics(word)
-        self.stats._oq(len(word))
-        if len(out) != len(word) + 1:
-            self.contract_violations += 1
-        self.oracle_seconds += time.perf_counter() - t0
-        return out
+        """Component-level output query against component ``c`` alone,
+        charged like ``oq`` once the component has accepted the word."""
+        return self._trace(self._mmn.machines[c], word)
 
     def oq_lasts(self, words: Sequence[Sequence[int]]) -> list[int]:
         """``[oq(w)[-1] for w in words]``, each word charged like ``oq``, no
         trace built; a foreign symbol in any word raises before any charge."""
-        t0 = time.perf_counter()
-        outs, _ = self._induced.lasts(words)
-        self.stats._oq(sum(map(len, words)), len(words))
-        self.oracle_seconds += time.perf_counter() - t0
-        return outs
+        return self._lasts(self._induced, words)
 
     def oq_c_lasts(self, c: NodeId, words: Sequence[Sequence[int]]) -> list[int]:
-        """``[oq_c(c, w)[-1] for w in words]``, charged and flagged like
-        ``oq_c`` per word and rejected whole like ``oq_lasts``."""
+        """``[oq_c(c, w)[-1] for w in words]``, charged like ``oq_c`` per
+        word and rejected whole like ``oq_lasts``."""
+        return self._lasts(self._mmn.machines[c], words)
+
+    def _trace(self, target, word: Sequence[int]) -> Word:
+        """``target``'s output trace on ``word``, charged one reset and one
+        step per symbol.  A word falling off a partial machine (the system
+        falls off only where a component does) returns the truncated trace
+        and bumps ``contract_violations``: learning declares components
+        complete, but the caller decides whether truncation matters."""
         t0 = time.perf_counter()
-        outs, fall_offs = self._mmn.machines[c].lasts(words)
+        out = target.semantics(word)
+        self.stats._oq(len(word))
+        if len(out) <= len(word):
+            self.contract_violations += 1
+        self.oracle_seconds += time.perf_counter() - t0
+        return out
+
+    def _lasts(self, target, words: Sequence[Sequence[int]]) -> list[int]:
+        """``[_trace(target, w)[-1] for w in words]``, charged and flagged
+        alike; ``target.lasts`` checks every word before any charge."""
+        t0 = time.perf_counter()
+        outs, fall_offs = target.lasts(words)
         self.stats._oq(sum(map(len, words)), len(words))
         self.contract_violations += fall_offs
         self.oracle_seconds += time.perf_counter() - t0
@@ -215,32 +215,33 @@ class Sul:
         difference, and not at all once the query's product rows are full
         (see :meth:`_random_eq`).
 
-        An ``InducedMoore``'s product is kept for the next EQ on it, which
-        may only follow rebinds within an epoch (``InducedMoore.rebind``), as
-        in ``ccwl``; an EQ that finds no counterexample, or runs on another
-        machine, drops it.
+        A counterexample keeps the product for the next EQ on the same
+        ``hypothesis`` object, which may only have grown since: ``ccwl``'s
+        epoch memo across ``InducedMoore.rebind``.  A new object, as ``mnl``
+        and ``cwl`` hand in every round, frees it.
         """
-        return self._random_eq(self._induced, hypothesis, isinstance(hypothesis, InducedMoore))
+        return self._random_eq(self._induced, hypothesis)
 
     def eq_c(self, c: NodeId, hypothesis) -> "Counterexample | bool":
         """Component-level testing EQ over the component's own alphabet."""
         return self._random_eq(self._mmn.machines[c], hypothesis)
 
-    def _random_eq(self, target, hypothesis, keep: bool = False):
+    def _random_eq(self, target, hypothesis):
         """Compare ``target`` and ``hypothesis`` on random words, pair by pair.
 
         Each word is drawn whole and charged (one reset, one step per
-        symbol), then walked over a product memo built for this EQ: pairs of
-        states whose outputs agree are interned, each with a row of ``|I|``
-        moves that start as ``_UNKNOWN`` and are stepped on first use.  A
-        move on which the outputs differ, or exactly one side falls off, is
-        ``_DIFF``; one on which both fall off is ``_AGREE``, as the outputs
-        then agree to the end of the word.  A walk stops at the first mark,
-        so neither machine is stepped past a difference, and a word is a
-        counterexample exactly when its two output traces differ.  A
-        hypothesis with a smaller input alphabet checks each whole word
-        first, so that, as in its ``semantics``, a foreign symbol raises
-        ``AlphabetError`` even past a fall-off.
+        symbol), then walked over a product memo, built for this EQ or kept
+        from the last (see below): pairs of states whose outputs agree are
+        interned, each with a row of ``|I|`` moves that start as
+        ``_UNKNOWN`` and are stepped on first use.  A move on which the
+        outputs differ, or exactly one side falls off, is ``_DIFF``; one on
+        which both fall off is ``_AGREE``, as the outputs then agree to the
+        end of the word.  A walk stops at the first mark, so neither machine
+        is stepped past a difference, and a word is a counterexample exactly
+        when its two output traces differ.  A hypothesis with a smaller
+        input alphabet checks each whole word first, so that, as in its
+        ``semantics``, a foreign symbol raises ``AlphabetError`` even past
+        a fall-off.
 
         A ``_DIFF`` ends the EQ, so while words are drawn the rows hold none.
         Once a word ends with every row full, no later word can differ: the
@@ -249,11 +250,13 @@ class Sul:
         Under an alphabet check the rows never fill, as a foreign symbol's
         word raises before it is walked.
 
-        With ``keep`` and no check, a counterexample leaves the product in
-        ``_product`` for the next EQ on ``hypothesis``.  As a rebind may
-        define a move that fell off, that EQ first resets every move the
-        product marked ``_DIFF`` or ``_AGREE`` to ``_UNKNOWN`` and lowers
-        ``known`` to match, so the rows again hold no ``_DIFF``.
+        A counterexample found without a check leaves the product in
+        ``_product`` for the next EQ on ``target`` and the same
+        ``hypothesis`` object, whatever its type; any other EQ frees it
+        before building its own.  As a rebind may define a move that fell
+        off, a reusing EQ first resets every move the product marked
+        ``_DIFF`` or ``_AGREE`` to ``_UNKNOWN`` and lowers ``known`` to
+        match, so the rows again hold no ``_DIFF``.
         """
         t0 = time.perf_counter()
         stats, rng, cfg = self.stats, self._rng, self.eq_config
@@ -265,12 +268,13 @@ class Sul:
         t_step, t_out = target.step, target.output
         h_step, h_out = hypothesis.step, hypothesis.output
         kept, self._product = self._product, None  # an EQ that raises keeps none
-        if keep and kept is not None and kept[0] is hypothesis:
+        if kept is not None and kept[0] is hypothesis and self._product_target is target:
             _, pairs, ids, rows, marks, known = kept
             for p, i in marks:
                 rows[p][i] = _UNKNOWN
             known, marks = known - len(marks), []
         else:
+            kept = None  # free an unused product before building this one
             pairs = [(target.initial, hypothesis.initial)]
             ids = {pairs[0]: 0}
             rows = [[_UNKNOWN] * n_in]
@@ -319,8 +323,9 @@ class Sul:
                 stats.eq_resets += left
                 stats.eq_steps += left * cfg.word_length
                 break
-        if keep and check is None and result is not EQUIVALENT:
+        if check is None and result is not EQUIVALENT:
             self._product = (hypothesis, pairs, ids, rows, marks, known)
+            self._product_target = target
         self.oracle_seconds += time.perf_counter() - t0
         return result
 

@@ -209,7 +209,7 @@ def test_ccwl_context_walk_matches_reference_every_round(monkeypatch, bound):
         sul = build_sul(ExperimentConfig(spec, "ccwl", ca_params=params), 0)
         last = {"induced": None, "fell_off": False}
 
-        def checking_one_ext_er(hyp, params, tables, induced):
+        def checking_one_ext_er(hyp, params, tables, induced, partitions):
             assert induced.mmn is hyp
             if induced is not last["induced"]:
                 kind = "new epoch" if last["induced"] else "first"
@@ -217,7 +217,7 @@ def test_ccwl_context_walk_matches_reference_every_round(monkeypatch, bound):
                 kind = "after fall-off" if last["fell_off"] else "later"
             last.update(induced=induced, fell_off=False)
             known = induced.n_explored()
-            got = one_ext_er(hyp, params, tables, induced)
+            got = one_ext_er(hyp, params, tables, induced, partitions)
             ids = {c: identity_partition(hyp.machines[c]) for c in hyp.components}
             depth = resolve_depth(params, tables)
             assert got == reference_walk_quotient(
@@ -533,6 +533,19 @@ def test_cwl_rejects_partial_component_with_clear_error():
     res = ccwl(sul2, CaParams())
     assert sul2.contract_violations == 0
     assert sul2.validate_exact(res.mmn) is True
+
+
+def test_analyze_cex_componentwise_rejects_a_word_without_a_difference():
+    # The hypothesis is the SUL itself: the word never falls off, and every
+    # tick's total output agrees, so the word is no counterexample.
+    from mmnlearn.table import SpuriousCounterexampleError
+
+    sul = Sul(binary_counter(3), EqTestConfig(seed=0))
+    induced = InducedMoore(sul._mmn)
+    word = (1, 0, 1, 1, 1)
+    with pytest.raises(SpuriousCounterexampleError, match="no difference in total outputs"):
+        analyze_cex_componentwise(induced, word, sul, {}, {})
+    assert sul.stats.oq_resets == len(sul.components)  # the one total query
 
 
 def test_ccwl_correct_under_exact_eq_on_random_mmns():

@@ -266,6 +266,15 @@ def test_no_memoize_counts(spec, algorithm, ca, resets, steps):
     assert (r.validation, r.oq_resets, r.oq_steps) == (VALIDATED, resets, steps)
 
 
+@pytest.mark.parametrize("algorithm, ca", [
+    ("mnl", None), ("cwl", None), ("ccwl", CaParams()),
+])
+def test_exact_eq_runs_no_words(algorithm, ca):
+    r = run_experiment(ExperimentConfig("binctr:5", algorithm, ca, exact_eq=True))
+    assert r.validation == VALIDATED
+    assert r.eq_count > 0 and r.eq_resets == r.eq_steps == 0
+
+
 # -- CLI ------------------------------------------------------------------------
 
 
@@ -292,6 +301,29 @@ def test_cli_validates_by_default(tmp_path, capsys, flags, verdict):
     ] + flags)
     assert code == 0
     assert out.read_text().splitlines()[1].split(",")[-1] == verdict
+
+
+def test_cli_eq_options_reach_the_sul(monkeypatch, tmp_path, capsys):
+    # --eq-words and --eq-len size the EQs; their words are drawn from the
+    # instance seed.
+    built, build_sul = [], harness.build_sul
+
+    def recording_build_sul(cfg, seed):
+        built.append(build_sul(cfg, seed))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "build_sul", recording_build_sul)
+    out = tmp_path / "res.json"
+    assert cli_main([
+        "learn", "--bench", "binctr:3", "--algo", "mnl", "--seed", "4",
+        "--eq-words", "7", "--eq-len", "11", "--format", "json", "--out", str(out),
+    ]) == 0
+    (sul,) = built
+    assert (sul.eq_config.words_per_eq, sul.eq_config.word_length) == (7, 11)
+    assert sul.eq_config.seed == 4
+    (row,) = json.loads(out.read_text())["instances"]
+    assert row["eq_steps"] == 11 * row["eq_resets"] > 0
+    assert row["eq_resets"] <= 7 * row["eq_count"]
 
 
 def test_cli_bench_export_roundtrip(tmp_path, capsys):

@@ -220,6 +220,37 @@ def test_analyze_cex_spurious_rejected():
         analyze_cex(h, (0, 0, 0), cache, tbl)
 
 
+def toggle_table():
+    """A closed, complete table of a two-state toggle (outputs 0, 1, 0, ...)
+    and its cache; S is ``[(), (a,)]``."""
+    ia, oa = Alphabet(["a"]), Alphabet(["0", "1"])
+    m = DetMoore(ia, oa, 2, 0, ({0: 1}, {0: 0}), (0, 1))
+    tbl, cache, _ = table_for(m)
+    tbl.close()
+    tbl.add_extension(*(s + (i,) for s, i in one_ext_lstar(tbl) if s + (i,) not in tbl))
+    tbl.close()
+    assert tbl.S == [(), (0,)] and tbl.hypothesis().n_states == 2
+    return m, tbl, cache
+
+
+def test_analyze_cex_rejects_a_difference_at_the_initial_output():
+    m, tbl, cache = toggle_table()
+    h = DetMoore(m.input_alphabet, m.output_alphabet, 2, 0, m.transitions, (1, 0))
+    with pytest.raises(SpuriousCounterexampleError, match="initial output"):
+        analyze_cex(h, (0,), cache, tbl)
+
+
+def test_analyze_cex_rejects_a_counterexample_without_a_split():
+    # A hypothesis whose second state's output disagrees with its own table
+    # row: the word differs after one symbol, but the probes at both ends
+    # ask the same word, so no split position can tell them apart.
+    m, tbl, cache = toggle_table()
+    h = DetMoore(m.input_alphabet, m.output_alphabet, 2, 0, m.transitions, (0, 0))
+    with pytest.raises(SpuriousCounterexampleError, match="no valid split position"):
+        analyze_cex(h, (0,), cache, tbl)
+    assert tbl.E == [()]
+
+
 def test_analyze_cex_progress_property():
     rng = random.Random(13)
     for _ in range(30):

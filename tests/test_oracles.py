@@ -166,6 +166,40 @@ def test_oq_bar_examples():
     assert s2.stats.oq_steps == 2
 
 
+def mmn_ex_without_a3_latch():
+    """``mmn_ex`` with c1's initial move on (a,3) removed: the system word
+    (a,c) falls off at its first tick."""
+    m = mmn_ex()
+    c1 = m.machines["c1"]
+    a3 = c1.input_alphabet.symbol("(a,3)")
+    trans = ({i: t for i, t in c1.transitions[0].items() if i != a3},) + c1.transitions[1:]
+    cut = DetMoore(c1.input_alphabet, c1.output_alphabet, c1.n_states, c1.initial,
+                   trans, c1.outputs)
+    return Mmn(m.network, {**m.machines, "c1": cut}, check=False)
+
+
+def test_system_oq_falling_off_flags_the_contract():
+    # A system fall-off is a component's fall-off, flagged like oq_c's.
+    s = sul_for(mmn_ex_without_a3_latch())
+    word = w(s.system_inputs, "(a,c)", "(b,d)")
+    assert len(s.oq(word)) == 1  # truncated at the first tick
+    assert s.contract_violations == 1
+    assert s.oq_lasts([word, (), word[1:]]) == [s.oq(word)[-1], s.oq(())[-1],
+                                                 s.oq(word[1:])[-1]]
+    assert s.contract_violations == 3  # one per fall-off, in and out of a batch
+    assert s.stats.oq_resets == 7 and s.stats.oq_steps == 8
+
+
+def test_oq_bar_falling_off_raises_after_charging():
+    s = sul_for(mmn_ex_without_a3_latch())
+    word = w(s.system_inputs, "(b,c)", "(a,c)", "(b,d)")
+    with pytest.raises(oracles.OracleContractError):
+        s.oq_bar(word)
+    # Charged |V^c| resets and |V^c| * |w| steps before the raise.
+    assert s.stats.snapshot() == {**QueryStats().snapshot(), "oq_resets": 2, "oq_steps": 6}
+    assert s.oq_bar(word[:1]) == [s._mmn.total_output(s._mmn.initial_configuration())] * 2
+
+
 def test_oq_bar_agrees_with_oq_projection():
     rng = random.Random(4)
     s = sul_for(binary_counter(3))
@@ -485,18 +519,39 @@ def test_product_eq_matches_reference_on_rebound_induced_machines(flip):
     assert kinds == ({"fall-off", "output"} if flip else {"fall-off"})
 
 
-def test_eq_keeps_no_product_for_det_machines():
-    # mnl's and eq_c's hypotheses are new DetMoore objects every round.
+def test_eq_keeps_the_product_per_hypothesis_object():
+    # Whatever the hypothesis type, a counterexample keeps the product for the
+    # next EQ on the same object; an EQ on another object, or an "equivalent"
+    # answer, drops it.  mnl's and cwl's hypotheses are new DetMoore objects
+    # every round, so their next EQ builds a product afresh.
     s = sul_for(binary_counter(2), seed=9)
     c1 = s._mmn.machines["c1"]
     wrong = DetMoore(c1.input_alphabet, c1.output_alphabet, c1.n_states, c1.initial,
                      c1.transitions, tuple((o + 1) % 2 for o in c1.outputs))
-    assert isinstance(s.eq_c("c1", wrong), Counterexample) and s._product is None
-    system = materialize(s._mmn)
-    assert s.eq(system) is True and s._product is None
+    assert isinstance(s.eq_c("c1", wrong), Counterexample) and s._product[0] is wrong
+    pairs = s._product[1]
+    assert isinstance(s.eq_c("c1", wrong), Counterexample) and s._product[1] is pairs
     memo = InducedMoore(partial_mmn(s._mmn, random.Random(0), 0.5))
     assert isinstance(s.eq(memo), Counterexample) and s._product[0] is memo
+    assert isinstance(s.eq_c("c1", wrong), Counterexample) and s._product[0] is wrong
+    assert s._product[1] is not pairs
+    system = materialize(s._mmn)
     assert s.eq(system) is True and s._product is None
+    assert isinstance(s.eq(memo), Counterexample) and s._product[0] is memo
+    assert s.eq(system) is True and s._product is None
+
+
+def test_eq_reuses_a_product_only_against_its_own_target():
+    # binctr's components share their alphabets, so one hypothesis object
+    # fits both; a product built against c1 must not answer an EQ against c2.
+    s = sul_for(binary_counter(2), seed=9)
+    c1 = s._mmn.machines["c1"]
+    wrong = DetMoore(c1.input_alphabet, c1.output_alphabet, c1.n_states, c1.initial,
+                     c1.transitions, tuple((o + 1) % 2 for o in c1.outputs))
+    assert isinstance(s.eq_c("c1", wrong), Counterexample)
+    pairs = s._product[1]
+    assert isinstance(s.eq_c("c2", wrong), Counterexample)
+    assert s._product[0] is wrong and s._product[1] is not pairs
 
 
 def recorded_draws(monkeypatch):
