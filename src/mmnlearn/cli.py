@@ -63,9 +63,7 @@ def _add_learn_args(p: argparse.ArgumentParser):
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    ca = None
-    if args.algo == "ccwl":
-        ca = CaParams.parse(args.ca_e, args.ca_r)
+    ca = CaParams.parse(args.ca_e, args.ca_r) if args.algo == "ccwl" else None
     instances = args.instances
     if instances is None:
         instances = 10 if args.bench.startswith("rand:") else 1

@@ -14,6 +14,7 @@ Three entry points share the observation-table engine:
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby, product
@@ -198,7 +199,7 @@ def one_ext_er(
     params: CaParams,
     tables: dict[NodeId, ObservationTable],
     induced: Optional[InducedMoore] = None,
-    partitions: Optional[dict[NodeId, tuple[DetMoore, StatePartition]]] = None,
+    quotients: Optional[dict[NodeId, tuple]] = None,
 ) -> set[tuple[NodeId, Word, int]]:
     """Contextual completion rule.
 
@@ -211,14 +212,15 @@ def one_ext_er(
     last walk under ``dinf``, re-walks the memo under every other bound, and
     returns the full proposal set either way.  ``eqk`` and ``uni`` walk the
     blocks of each component's states under the abstraction, reading the
-    blocks' outputs and moves off the hypothesis tables, so no quotient
-    machine is built.  ``partitions`` keeps each component's partition with
-    the machine it was built from, rebuilt only once the table hands out
-    another machine.  Both walks compose the components by the network's
-    ``wiring``, which every round's hypothesis shares.  Only the quotient
-    walk enumerates output sets, so only there is that enumeration capped:
-    exceeding ``OUTPUT_CAP`` at one configuration aborts with a diagnostic
-    instead of dropping tuples.
+    blocks' moves off the hypothesis tables, so no quotient machine is
+    built.  ``quotients`` keeps, per component, the machine, its partition
+    and the partition's block output sets (``Mmn.quotient_mmn``); the last
+    two are rebuilt only once the table hands out another machine.  Both
+    walks compose the components by the network's ``wiring``, which every
+    round's hypothesis shares.  Only the quotient walk enumerates output
+    sets, so only there is that enumeration capped: exceeding
+    ``OUTPUT_CAP`` at one configuration aborts with a diagnostic instead of
+    dropping tuples.
     """
     depth = resolve_depth(params, tables)
     if params.abstraction == ABS_EQ:
@@ -229,18 +231,21 @@ def one_ext_er(
             for c, pairs, sys_part in zip(hypothesis.components, received, sys_parts)
             for s, b in pairs for p in sys_part
         }
-    kept = {} if partitions is None else partitions
-    for c in hypothesis.components:
-        machine = hypothesis.machines[c]
-        if c not in kept or kept[c][0] is not machine:
-            kept[c] = (machine, _partition_for(params, machine))
-    return _walk_quotient(
-        hypothesis, {c: kept[c][1] for c in hypothesis.components}, tables, depth)
+    kept = {} if quotients is None else quotients
+    comps, machines = hypothesis.components, hypothesis.machines
+    changed = {c: _partition_for(params, machines[c]) for c in comps
+               if c not in kept or kept[c][0] is not machines[c]}
+    if changed:
+        for c, outputs in hypothesis.quotient_mmn(changed).items():
+            kept[c] = (machines[c], changed[c], outputs)
+    return _walk_quotient(hypothesis, {c: kept[c][1] for c in comps},
+                          {c: kept[c][2] for c in comps}, tables, depth)
 
 
 def _walk_quotient(
     hypothesis: Mmn,
     partitions: dict[NodeId, StatePartition],
+    block_outputs: dict[NodeId, tuple[frozenset[int], ...]],
     tables: dict[NodeId, ObservationTable],
     depth: Optional[int],
 ) -> set[tuple[NodeId, Word, int]]:
@@ -248,28 +253,28 @@ def _walk_quotient(
     read straight off the hypothesis tables.
 
     An abstract configuration holds one block per component, and a block
-    emits every output of its states (``Mmn.quotient_mmn``).  A component's
-    bases at a configuration are the sums of the digits its feeds read from
-    the other components' output sets.  Per block and bases that the walk
-    expands, the block's targets on every system input are computed once:
-    the blocks of its states' defined moves on each base plus that input's
-    system-input part.  On a system input the successors are the product of
-    the components' targets, so a component with no target blocks that
-    input.  Every character a block receives (a base plus a system-input
-    part) is emitted with the access string of every concrete row in the
-    block.  The last level records its bases and nothing more.
+    emits every output of its states (``block_outputs``, from
+    ``Mmn.quotient_mmn``).  A component's bases at a configuration are the
+    sums of the digits its feeds read from the other components' output
+    sets.  Per block and bases that the walk expands, the block's targets on
+    every system input are computed once: the blocks of its states' defined
+    moves on each base plus that input's system-input part.  On a system
+    input the successors are the product of the components' targets, so a
+    component with no target blocks that input.  Move maps exist only for
+    visited blocks, and every character a visited block receives (a base
+    plus a system-input part) is emitted with the access string of each of
+    its states.  The last level records its bases and nothing more.
     """
     comps = hypothesis.components
     wiring = hypothesis.network.wiring
     sys_parts, feeds = wiring.sys_parts, wiring.feeds
     transitions = hypothesis.transitions_by_comp
-    block_outputs = hypothesis.quotient_mmn(partitions)
     outputs = [block_outputs[c] for c in comps]
     block_of = [partitions[c].block_of for c in comps]
     blocks = [partitions[c].blocks for c in comps]
-    # moves[k][b]: bases -> per system input, the blocks block b's states
-    # move to; None for bases seen only on the last level.
-    moves = [[{} for _ in bs] for bs in blocks]
+    # moves[k][b], for visited blocks only: bases -> per system input, the
+    # blocks block b's states move to; None for bases seen only on the last level.
+    moves = [defaultdict(dict) for _ in comps]
 
     start = tuple(
         bo[q] for bo, q in zip(block_of, hypothesis.initial_configuration())
@@ -324,12 +329,10 @@ def _walk_quotient(
 
     emitted: set[tuple[NodeId, Word, int]] = set()
     for k, c in enumerate(comps):
-        received = [
-            {x + p for bases in known for x in bases for p in sys_parts[k]}
-            for known in moves[k]
-        ]
-        for q, s in enumerate(tables[c].S):
-            emitted.update((c, s, i) for i in received[block_of[k][q]])
+        S, sys_part = tables[c].S, sys_parts[k]
+        for b, known in moves[k].items():
+            received = {x + p for bases in known for x in bases for p in sys_part}
+            emitted.update((c, S[q], i) for q in blocks[k][b] for i in received)
     return emitted
 
 
@@ -409,7 +412,8 @@ def ccwl(
 
     Rounds carry over, for the epoch, the memo and ``Sul.eq``'s product for
     it (dropped by the last EQ); for the job, the last round's proposals (in
-    their tables by now: not tested again) and unchanged machines' partitions."""
+    their tables by now: not tested again) and, per unchanged machine, its
+    partition and block output sets."""
     eq = eq or sul.eq
     caches: dict[NodeId, OqCache] = {}
     tables: dict[NodeId, ObservationTable] = {}
@@ -422,7 +426,7 @@ def ccwl(
     max_cex = 0
     induced: Optional[InducedMoore] = None  # the epoch's system machine
     tested: set[tuple[NodeId, Word, int]] = set()  # the last round's proposals
-    partitions: dict[NodeId, tuple[DetMoore, StatePartition]] = {}
+    quotients: dict[NodeId, tuple] = {}  # per component, kept by one_ext_er
     while True:
         if deadline is not None and time.monotonic() > deadline:
             raise LearningTimeout("learning budget exceeded")
@@ -431,7 +435,7 @@ def ccwl(
         hypothesis = assemble(sul, tables)
         induced = induced or InducedMoore(hypothesis)  # one per epoch
         induced.rebind(hypothesis)
-        proposals = one_ext_er(hypothesis, params, tables, induced, partitions)
+        proposals = one_ext_er(hypothesis, params, tables, induced, quotients)
         missing = sorted(
             (c, s, i) for (c, s, i) in proposals - tested if s + (i,) not in tables[c]
         )

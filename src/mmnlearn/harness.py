@@ -144,12 +144,7 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> Experim
     wall = time.monotonic() - t0
     result.wall_time_seconds = wall
     result.learner_time_seconds = max(0.0, wall - sul.oracle_seconds)
-    stats = sul.stats
-    result.oq_resets = stats.oq_resets
-    result.oq_steps = stats.oq_steps
-    result.eq_count = stats.eq_count
-    result.eq_resets = stats.eq_resets
-    result.eq_steps = stats.eq_steps
+    vars(result).update(sul.stats.snapshot())  # the five query counts
     if learned is not None:
         result.states = learned.n_states
         result.transitions = learned.n_transitions
@@ -158,8 +153,6 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> Experim
             target = learned.machine if learned.machine is not None else learned.mmn
             verdict = sul.validate_exact(target)
             result.validation = VALIDATED if verdict is True else INCORRECT
-        else:
-            result.validation = SKIPPED
     return result
 
 
@@ -293,15 +286,12 @@ def thm_bound_check(result: ExperimentResult, constant: float = 10.0,
     ell = max(1, result.sul_input_alphabet)
     m = max(2, result.max_cex_length)
     vc = max(1, result.sul_components)
-    if result.algorithm == "mnl":
-        bound = constant * (ell * n * n + n * math.log2(m))
-        eq_bound = constant * n
-    else:
-        bound = constant * (ell * n * n + n * vc * math.log2(m))
-        eq_bound = constant * n
-        if not sound:
-            bound += constant * ell * n * vc
-            eq_bound += constant * ell * n
+    mono = result.algorithm == "mnl"
+    bound = constant * (ell * n * n + n * (1 if mono else vc) * math.log2(m))
+    eq_bound = constant * n
+    if not (mono or sound):
+        bound += constant * ell * n * vc
+        eq_bound += constant * ell * n
     return result.oq_resets <= bound and result.eq_count <= eq_bound
 
 
@@ -310,18 +300,13 @@ def thm_bound_check(result: ExperimentResult, constant: float = 10.0,
 
 def ci_profile() -> list[ExperimentConfig]:
     """Desk-scale profile: small random families, short timeout."""
-    cfgs = []
-    for bench in ("binctr:5", "mmn_ex", "counter_init",
-                  "rand:path3:lean", "rand:star3:lean", "rand:compl3:lean"):
-        for algo in ALGORITHMS:
-            cfgs.append(
-                ExperimentConfig(
-                    bench, algo,
-                    ca_params=CaParams() if algo == "ccwl" else None,
-                    timeout_s=120.0, instances=2,
-                )
-            )
-    return cfgs
+    return [
+        ExperimentConfig(bench, algo, ca_params=CaParams() if algo == "ccwl" else None,
+                         timeout_s=120.0, instances=2)
+        for bench in ("binctr:5", "mmn_ex", "counter_init",
+                      "rand:path3:lean", "rand:star3:lean", "rand:compl3:lean")
+        for algo in ALGORITHMS
+    ]
 
 
 def table1_profile(instances: int = 10) -> list[ExperimentConfig]:
@@ -349,12 +334,8 @@ def table1_profile(instances: int = 10) -> list[ExperimentConfig]:
         "rand:star3:rich", "rand:star7:rich",
         "mqtt", "binctr:5", "binctr:10",
     ]
-    cfgs = []
-    for bench in benches:
-        cfgs.append(ExperimentConfig(bench, "mnl", instances=instances))
-        cfgs.append(ExperimentConfig(bench, "cwl", instances=instances))
-        for ca in cas:
-            cfgs.append(
-                ExperimentConfig(bench, "ccwl", ca_params=ca, instances=instances)
-            )
-    return cfgs
+    return [
+        ExperimentConfig(bench, algo, ca_params=ca, instances=instances)
+        for bench in benches
+        for algo, ca in [("mnl", None), ("cwl", None)] + [("ccwl", ca) for ca in cas]
+    ]

@@ -77,11 +77,7 @@ def analyze_cex(
     response = cache.oq(word)
     predicted = hypothesis.semantics(word)
     limit = min(len(response), len(predicted))
-    first_diff = None
-    for j in range(limit):
-        if response[j] != predicted[j]:
-            first_diff = j
-            break
+    first_diff = next((j for j in range(limit) if response[j] != predicted[j]), None)
     if first_diff is None:
         # No output difference inside the common prefix: nothing a suffix
         # could distinguish.  Hypothesis-side truncation is the

@@ -7,7 +7,7 @@ be partial: missing transitions are simply absent from the per-state maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from collections import deque
 from typing import Optional, Sequence
 
@@ -35,7 +35,9 @@ EQUIVALENT = True
 
 @dataclass(frozen=True)
 class DetMoore:
-    """A (possibly partial) deterministic Moore machine."""
+    """A (possibly partial) deterministic Moore machine.  ``check`` raises
+    ``MooreError`` for any state, symbol or table size out of range; only
+    ``ObservationTable.hypothesis``, which checks data as it enters, skips it."""
 
     input_alphabet: Alphabet
     output_alphabet: Alphabet
@@ -43,8 +45,11 @@ class DetMoore:
     initial: int
     transitions: tuple[dict[int, int], ...]  # per state: input sym -> state
     outputs: tuple[int, ...]  # per state: output sym
+    check: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check: bool):
+        if not check:
+            return
         n = self.n_states
         if not 0 <= self.initial < n:
             raise MooreError("initial state out of range")

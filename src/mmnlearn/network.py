@@ -10,6 +10,7 @@ well-defined.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import getitem
 from typing import Optional, Sequence
 
 from .alphabet import Alphabet, AlphabetError, product_alphabet
@@ -202,7 +203,7 @@ class Mmn:
 
     def total_output(self, config: Sequence[int]) -> tuple[int, ...]:
         """Per-component output symbols at a configuration."""
-        return tuple(outs[q] for outs, q in zip(self.outputs_by_comp, config))
+        return tuple(map(getitem, self.outputs_by_comp, config))
 
     def component_input(self, c: NodeId, sys_in: int, outs: Sequence[int]) -> int:
         """The character component ``c`` consumes given the system input and
@@ -219,17 +220,12 @@ class Mmn:
     def quotient_mmn(
         self, partitions: dict[NodeId, StatePartition]
     ) -> dict[NodeId, tuple[frozenset[int], ...]]:
-        """Per component, the output set of each block of its partition: the
-        outputs of the block's states, in block order.
-
-        These are the only per-round tables the quotient walk in
-        ``componentwise`` builds; it reads block moves off
-        ``transitions_by_comp`` for the blocks it expands.
-        """
-        return {
-            c: tuple(frozenset(outputs[q] for q in block) for block in partitions[c].blocks)
-            for c, outputs in zip(self.components, self.outputs_by_comp)
-        }
+        """Per component in ``partitions`` (some or all), the output set of
+        each block of its partition, in block order.  These are the only
+        tables the quotient walk in ``componentwise`` builds; ``one_ext_er``
+        keeps them until the component's machine changes."""
+        return {c: tuple(frozenset(map(self.machines[c].outputs.__getitem__, block))
+                         for block in p.blocks) for c, p in partitions.items()}
 
 
 class InducedMoore:

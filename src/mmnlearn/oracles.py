@@ -188,16 +188,19 @@ class Sul:
         Computed from one tick-driven run per component (a component's input
         at tick t depends only on outputs at tick t, thanks to the Moore
         delay), so it charges ``|V^c|`` resets and ``|V^c| * len(word)``
-        steps, once ``trajectory`` has accepted the word.
+        steps, once ``trajectory`` has accepted the word.  A fall-off is
+        counted and timed like in ``_trace``, then raises ``OracleContractError``.
         """
         t0 = time.perf_counter()
         configs = self._induced.trajectory(word)
         self.stats._oq(len(self.components) * len(word), len(self.components))
         if len(configs) <= len(word):
+            self.contract_violations += 1
+            self.oracle_seconds += time.perf_counter() - t0
             raise OracleContractError(
                 "total output query fell off a partial component"
             )
-        trace = [self._mmn.total_output(config) for config in configs]
+        trace = list(map(self._mmn.total_output, configs))
         self.oracle_seconds += time.perf_counter() - t0
         return trace
 

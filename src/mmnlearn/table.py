@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .alphabet import Alphabet
-from .machine import DetMoore, Word
+from .machine import DetMoore, MooreError, Word
 
 
 class SpuriousCounterexampleError(RuntimeError):
@@ -25,6 +25,10 @@ class ObservationTable:
     oracle ``oq_lasts``: one batch per ``add_extension`` (all its rows) and
     one per ``add_suffix`` (the new column).  Cells of different rows may
     name the same word, so ``oq_lasts`` should memoize.
+
+    Data is checked as it enters, so hypotheses need no whole-machine check:
+    a cell that is no output symbol, or an extension that does not end in an
+    input symbol, raises ``MooreError``.
     """
 
     def __init__(self, input_alphabet: Alphabet, output_alphabet: Alphabet,
@@ -35,7 +39,7 @@ class ObservationTable:
         self.S: list[Word] = [()]
         self.R: list[Word] = []
         self.E: list[Word] = [()]
-        self._rows: dict[Word, tuple[int, ...]] = {(): tuple(oq_lasts([()]))}
+        self._rows: dict[Word, tuple[int, ...]] = {(): tuple(self._cells([()]))}
         self._closed = True  # until a row or a suffix is added
         self._hypothesis: DetMoore | None = None  # valid until S, R or E change
         self._new_epoch()
@@ -47,6 +51,15 @@ class ObservationTable:
         self._moves: list[dict[int, int]] = []
         self._added: list[Word] = []
 
+    def _cells(self, words: Sequence[Word], ends: Sequence[int] = ()) -> Sequence[int]:
+        """``oq_lasts(words)``, checked against the output alphabet, and
+        ``ends`` (extensions' last symbols) against the input alphabet."""
+        cells = self._oq_lasts(words)
+        for syms, alphabet in ((cells, self.output_alphabet), (ends, self.input_alphabet)):
+            if syms and (min(syms) < 0 or max(syms) >= len(alphabet)):
+                raise MooreError("symbol not in alphabet %r: %r" % (alphabet, syms))
+        return cells
+
     def __contains__(self, word: Word) -> bool:
         return word in self._rows
 
@@ -56,7 +69,7 @@ class ObservationTable:
     def add_extension(self, *prefixes: Word) -> None:
         """Add ``prefixes`` to R, their cells asked in one batch."""
         rows, E, before = self._rows, self.E, len(self._rows)
-        cells = self._oq_lasts([u + e for u in prefixes for e in E])
+        cells = self._cells([u + e for u in prefixes for e in E], [u[-1] for u in prefixes])
         # zip over |E| references to one iterator cuts the cells into rows.
         rows.update(zip(prefixes, zip(*[iter(cells)] * len(E))))
         assert len(rows) == before + len(prefixes), "prefixes must be new and distinct"
@@ -74,7 +87,7 @@ class ObservationTable:
         self._hypothesis = None
         self._new_epoch()
         rows, words = self._rows, self.S + self.R
-        for u, cell in zip(words, self._oq_lasts([u + suffix for u in words])):
+        for u, cell in zip(words, self._cells([u + suffix for u in words])):
             rows[u] += (cell,)
 
     def close(self) -> None:
@@ -107,7 +120,8 @@ class ObservationTable:
         the table.  Between two ``add_suffix`` calls (an *epoch*) states,
         outputs and transitions only accrue, so a build adds just the new
         ones.  The machine is a fresh immutable copy, shared until the table
-        changes.
+        changes, and built without ``DetMoore``'s whole-machine check: its
+        outputs are checked cells and its moves checked extensions.
         """
         if self._hypothesis is None:
             rows, S, state_of, moves = self._rows, self.S, self._state_of, self._moves
@@ -130,6 +144,7 @@ class ObservationTable:
             self._hypothesis = DetMoore(
                 self.input_alphabet, self.output_alphabet, len(moves), 0,
                 tuple(m.copy() for m in moves), tuple(rows[s][0] for s in S),
+                check=False,
             )
         return self._hypothesis
 

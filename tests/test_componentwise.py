@@ -379,7 +379,8 @@ def test_one_ext_eq_matches_generic_walk_on_identity_quotient(spec, bound):
         want = reference_walk_quotient(
             hyp, reference_quotient_mmn(hyp, partitions), partitions, tables, depth,
         )
-        assert _walk_quotient(hyp, partitions, tables, depth) == want
+        assert _walk_quotient(
+            hyp, partitions, hyp.quotient_mmn(partitions), tables, depth) == want
         return want
 
     _, fell_off = assert_every_round_matches(spec, params, reference)
@@ -405,7 +406,9 @@ def test_quotient_walk_matches_reference_quotient_walk(spec, abstraction, bound)
                 c: partition_from_block_of(m.n_states, [q // 2 for q in range(m.n_states)])
                 for c, m in hyp.machines.items()
             }
-            assert _walk_quotient(hyp, pairs, tables, depth) == reference_walk_quotient(
+            assert _walk_quotient(
+                hyp, pairs, hyp.quotient_mmn(pairs), tables, depth,
+            ) == reference_walk_quotient(
                 hyp, reference_quotient_mmn(hyp, pairs), pairs, tables, depth,
             )
         partitions = {
@@ -636,6 +639,31 @@ def test_ccwl_partitions_each_hypothesis_machine_once(monkeypatch, ca):
     rounds = sum(line.startswith("round ") for line in log)
     assert len({id(m) for m in built}) == len(built)
     assert len(sul.components) <= len(built) < rounds * len(sul.components)
+
+
+@pytest.mark.parametrize("ca", ["eqk:0,d:0", "eqk:1,dinf", "uni,d:1"])
+def test_one_ext_er_rebuilds_only_the_changed_tables_quotient(ca):
+    # one_ext_er keeps each component's machine, partition and block output
+    # sets; after only one table changed, only that component's kept entry
+    # is a new object, and the proposals equal those of a fresh walk.
+    params = CaParams.parse(*ca.split(","))
+    sul = Sul(from_spec("mqtt"), EqTestConfig(seed=0))
+    tables, _ = fresh_tables(sul)
+    kept = {}
+    one_ext_er(assemble(sul, tables), params, tables, None, kept)
+    before = dict(kept)
+    changed = sul.components[1]
+    tables[changed].add_extension((0,))
+    for c in sul.components:
+        tables[c].close()
+    hyp = assemble(sul, tables)
+    got = one_ext_er(hyp, params, tables, None, kept)
+    assert got == one_ext_er(hyp, params, tables)
+    assert [c for c in sul.components if kept[c] is not before[c]] == [changed]
+    machine, partition, outputs = kept[changed]
+    assert machine is hyp.machines[changed]
+    assert partition == _partition_for(params, machine)
+    assert outputs == hyp.quotient_mmn({changed: partition})[changed]
 
 
 def test_analyze_cex_progress_across_eq_rounds():

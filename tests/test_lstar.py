@@ -5,7 +5,7 @@ import pytest
 from mmnlearn.alphabet import Alphabet
 from mmnlearn.benchmarks import binary_counter, mmn_ex
 from mmnlearn.lstar import OqCache, analyze_cex, lstar, one_ext_lstar
-from mmnlearn.machine import Counterexample, DetMoore, equivalent
+from mmnlearn.machine import Counterexample, DetMoore, MooreError, equivalent
 from mmnlearn.oracles import EqTestConfig, Sul
 from mmnlearn.table import ObservationTable, SpuriousCounterexampleError
 from tests.test_machine import random_machine
@@ -450,6 +450,50 @@ def test_rows_match_oracle_after_every_operation():
                 assert tbl.row(u) == tuple(m.semantics(u + e)[-1] for e in tbl.E)
             for u in probes + [u + (i,) for u in members for i in inputs]:
                 assert (u in tbl) == (u in members)
+
+
+def lying_table(machine, lies):
+    """A table of ``machine`` whose oracle answers ``lies[word]`` for the
+    words in ``lies`` and checks no word."""
+    def oq_lasts(words):
+        return [lies[w] if w in lies else machine.lasts([w])[0][0] for w in words]
+
+    return ObservationTable(machine.input_alphabet, machine.output_alphabet, oq_lasts)
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("lie_on, steps", [
+    ((), []),
+    ((1,), [("add_extension", (1,))]),
+    ((1, 0), [("add_extension", (1,)), ("add_suffix", (0,))]),  # an R row's cell
+    ((0, 2), [("add_extension", (0,), (1,)), ("close",), ("add_suffix", (2,))]),  # an S row's
+])
+def test_table_rejects_foreign_outputs_by_the_hypothesis(bad, lie_on, steps):
+    # Tables check cells where they enter, so their hypotheses skip
+    # DetMoore's whole-machine check; a foreign output still raises
+    # MooreError by the time hypothesis() returns.
+    m = mmn_ex().machines["c1"]
+    assert len(m.output_alphabet) == 4
+    with pytest.raises(MooreError, match="not in alphabet"):
+        tbl = lying_table(m, {lie_on: bad})
+        for op, *words in steps:
+            getattr(tbl, op)(*words)
+        tbl.close()
+        tbl.hypothesis()
+
+
+@pytest.mark.parametrize("foreign", [-1, 4, 99])
+def test_table_rejects_extensions_with_a_foreign_symbol(foreign):
+    # A foreign last symbol would be a hypothesis move on no input; without
+    # an oracle that checks words, the table raises before storing it.
+    m = mmn_ex().machines["c1"]
+    assert len(m.input_alphabet) == 4
+    tbl = lying_table(m, {(foreign,): 0})
+    with pytest.raises(MooreError, match="not in alphabet"):
+        tbl.add_extension((0,), (foreign,))
+        tbl.close()
+        tbl.hypothesis()
+    assert (0,) not in tbl and (foreign,) not in tbl
 
 
 def test_table_dump_readable():

@@ -230,6 +230,11 @@ def test_uni_quotient_total_output_sets():
     q = reference_quotient_mmn(m, parts)
     assert [len(q[c].outputs[0]) for c in m.components] == [2, 4]  # 8 tuples
     assert m.quotient_mmn(parts) == {c: q[c].outputs for c in m.components}
+    # Output sets are built only for the partitions passed.
+    for c in m.components:
+        eq0 = {c: partition_eq_k(m.machines[c], 0)}
+        assert m.quotient_mmn(eq0) == {c: reference_quotient_mmn(m, {**parts, **eq0})[c].outputs}
+    assert m.quotient_mmn({}) == {}
 
 
 def test_system_transition_example():

@@ -195,8 +195,11 @@ def test_oq_bar_falling_off_raises_after_charging():
     word = w(s.system_inputs, "(b,c)", "(a,c)", "(b,d)")
     with pytest.raises(oracles.OracleContractError):
         s.oq_bar(word)
-    # Charged |V^c| resets and |V^c| * |w| steps before the raise.
+    # Charged |V^c| resets and |V^c| * |w| steps before the raise, counted
+    # as a contract violation and timed as oracle time.
     assert s.stats.snapshot() == {**QueryStats().snapshot(), "oq_resets": 2, "oq_steps": 6}
+    assert s.contract_violations == 1
+    assert s.oracle_seconds > 0
     assert s.oq_bar(word[:1]) == [s._mmn.total_output(s._mmn.initial_configuration())] * 2
 
 
