@@ -203,54 +203,49 @@ def one_ext_er(
 ) -> set[tuple[NodeId, Word, int]]:
     """Contextual completion rule.
 
-    Runs (depth-bounded) BFS over configurations and, for every visited
-    configuration, emits per component every input character the component
-    can receive there, paired with the access string of every row its state
-    stands for.  With the ``eq`` abstraction the walk is
-    ``InducedMoore.contexts`` over ``induced``, the epoch's system machine
-    bound to ``hypothesis`` (fresh if not passed): it resumes the epoch's
-    last walk under ``dinf``, re-walks the memo under every other bound, and
-    returns the full proposal set either way.  ``eqk`` and ``uni`` walk the
-    blocks of each component's states under the abstraction, reading the
-    blocks' moves off the hypothesis tables, so no quotient machine is
+    A (depth-bounded) BFS over configurations returns, per component, the
+    (state, base) pairs received at the visited configurations; each pair
+    and each system-input part of the component propose the state's access
+    string with the character base + part.  With the ``eq`` abstraction the
+    walk is ``InducedMoore.contexts`` over ``induced``, the epoch's system
+    machine bound to ``hypothesis`` (fresh if not passed): it resumes the
+    epoch's last walk under ``dinf`` and re-walks the memo under every other
+    bound.  ``eqk`` and ``uni`` walk the blocks of each component's states
+    under the abstraction (``_walk_quotient``), so no quotient machine is
     built.  ``quotients`` keeps, per component, the machine, its partition
     and the partition's block output sets (``Mmn.quotient_mmn``); the last
     two are rebuilt only once the table hands out another machine.  Both
     walks compose the components by the network's ``wiring``, which every
-    round's hypothesis shares.  Only the quotient walk enumerates output
-    sets, so only there is that enumeration capped: exceeding
-    ``OUTPUT_CAP`` at one configuration aborts with a diagnostic instead of
-    dropping tuples.
+    round's hypothesis shares.
     """
     depth = resolve_depth(params, tables)
+    comps = hypothesis.components
     if params.abstraction == ABS_EQ:
         received = (induced or InducedMoore(hypothesis)).contexts(depth)
-        sys_parts = hypothesis.network.wiring.sys_parts
-        return {
-            (c, tables[c].S[s], b + p)
-            for c, pairs, sys_part in zip(hypothesis.components, received, sys_parts)
-            for s, b in pairs for p in sys_part
-        }
-    kept = {} if quotients is None else quotients
-    comps, machines = hypothesis.components, hypothesis.machines
-    changed = {c: _partition_for(params, machines[c]) for c in comps
-               if c not in kept or kept[c][0] is not machines[c]}
-    if changed:
-        for c, outputs in hypothesis.quotient_mmn(changed).items():
-            kept[c] = (machines[c], changed[c], outputs)
-    return _walk_quotient(hypothesis, {c: kept[c][1] for c in comps},
-                          {c: kept[c][2] for c in comps}, tables, depth)
+    else:
+        kept = {} if quotients is None else quotients
+        machines = hypothesis.machines
+        changed = {c: _partition_for(params, machines[c]) for c in comps
+                   if c not in kept or kept[c][0] is not machines[c]}
+        if changed:
+            for c, outputs in hypothesis.quotient_mmn(changed).items():
+                kept[c] = (machines[c], changed[c], outputs)
+        received = _walk_quotient(hypothesis, {c: kept[c][1] for c in comps},
+                                  {c: kept[c][2] for c in comps}, depth)
+    return {
+        (c, tables[c].S[q], base + part)
+        for c, pairs, sys_part in zip(comps, received, hypothesis.network.wiring.sys_parts)
+        for q, base in pairs for part in sys_part
+    }
 
 
 def _walk_quotient(
     hypothesis: Mmn,
     partitions: dict[NodeId, StatePartition],
     block_outputs: dict[NodeId, tuple[frozenset[int], ...]],
-    tables: dict[NodeId, ObservationTable],
     depth: Optional[int],
-) -> set[tuple[NodeId, Word, int]]:
-    """Context analysis on the quotients of the hypothesis components,
-    read straight off the hypothesis tables.
+) -> list[set[tuple[int, int]]]:
+    """Context analysis on the quotients of the hypothesis components.
 
     An abstract configuration holds one block per component, and a block
     emits every output of its states (``block_outputs``, from
@@ -261,9 +256,12 @@ def _walk_quotient(
     moves on each base plus that input's system-input part.  On a system
     input the successors are the product of the components' targets, so a
     component with no target blocks that input.  Move maps exist only for
-    visited blocks, and every character a visited block receives (a base
-    plus a system-input part) is emitted with the access string of each of
-    its states.  The last level records its bases and nothing more.
+    visited blocks.  The last level records its bases and nothing more.
+    Over ``OUTPUT_CAP`` output tuples at one configuration raise
+    ``CaBlowupError`` instead of being dropped.  Returns, per component
+    and like ``InducedMoore.contexts``, the (state, base) pairs that the
+    visited blocks receive: each state of a visited block with each base
+    the walk read for that block.
     """
     comps = hypothesis.components
     wiring = hypothesis.network.wiring
@@ -327,13 +325,11 @@ def _walk_quotient(
         frontier = nxt
         level += 1
 
-    emitted: set[tuple[NodeId, Word, int]] = set()
-    for k, c in enumerate(comps):
-        S, sys_part = tables[c].S, sys_parts[k]
-        for b, known in moves[k].items():
-            received = {x + p for bases in known for x in bases for p in sys_part}
-            emitted.update((c, S[q], i) for q in blocks[k][b] for i in received)
-    return emitted
+    return [
+        {(q, x) for b, known in moves_k.items() for x in set().union(*known)
+         for q in blocks_k[b]}
+        for moves_k, blocks_k in zip(moves, blocks)
+    ]
 
 
 def analyze_cex_componentwise(

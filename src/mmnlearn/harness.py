@@ -48,7 +48,7 @@ class ExperimentConfig:
     benchmark: str
     algorithm: str
     ca_params: Optional[CaParams] = None
-    # Only words_per_eq and word_length are read: EQs draw from the instance seed.
+    # EQs draw from the instance seed, so eq_config's own seed must stay 0.
     eq_config: EqTestConfig = field(default_factory=EqTestConfig)
     seed: int = 0
     instances: int = 1
@@ -64,6 +64,8 @@ class ExperimentConfig:
             raise ConfigError("ccwl, and only ccwl, takes CA parameters")
         if self.instances < 1:
             raise ConfigError("instances must be >= 1")
+        if self.eq_config.seed != 0:
+            raise ConfigError("eq_config.seed is not read: set ExperimentConfig.seed")
 
 
 @dataclass

@@ -187,7 +187,7 @@ def _group(values: list) -> list[int]:
 # -- equivalence ------------------------------------------------------------
 
 
-def _same_alphabet(a: Alphabet, b: Alphabet) -> bool:
+def same_alphabet(a: Alphabet, b: Alphabet) -> bool:
     if a is b:
         return True
     if len(a) != len(b):
@@ -210,9 +210,9 @@ def equivalent(m1, m2):
     the BFS run, expanding in (discovery, input symbol id) order, to build
     the shortest witness.
     """
-    if not _same_alphabet(m1.input_alphabet, m2.input_alphabet):
+    if not same_alphabet(m1.input_alphabet, m2.input_alphabet):
         raise MooreError("input alphabet mismatch")
-    if not _same_alphabet(m1.output_alphabet, m2.output_alphabet):
+    if not same_alphabet(m1.output_alphabet, m2.output_alphabet):
         raise MooreError("output alphabet mismatch")
     if _agree(m1, m2):
         return EQUIVALENT

@@ -14,7 +14,7 @@ from operator import getitem
 from typing import Optional, Sequence
 
 from .alphabet import Alphabet, AlphabetError, product_alphabet
-from .machine import DetMoore, StatePartition, Word
+from .machine import DetMoore, StatePartition, Word, same_alphabet
 
 NodeId = str
 Edge = tuple[NodeId, NodeId]
@@ -179,7 +179,6 @@ class Mmn:
         problems = self.network.diagnostics()
         if problems:
             return problems
-        shape = lambda a: (len(a), tuple(len(f) for f in a.factors or ()))
         for c in self.components:
             m = self.machines.get(c)
             if m is None:
@@ -187,9 +186,9 @@ class Mmn:
                 continue
             if not isinstance(m, DetMoore):
                 problems.append("component %r is not a deterministic Moore machine" % c)
-            if shape(m.input_alphabet) != shape(self.network.component_input_alphabet(c)):
+            if not same_alphabet(m.input_alphabet, self.network.component_input_alphabet(c)):
                 problems.append("component %r input alphabet not the product of its in-edge alphabets" % c)
-            if shape(m.output_alphabet) != shape(self.network.component_output_alphabet(c)):
+            if not same_alphabet(m.output_alphabet, self.network.component_output_alphabet(c)):
                 problems.append("component %r output alphabet not the product of its out-edge alphabets" % c)
         return problems
 

@@ -20,11 +20,13 @@ class ObservationTable:
     """Rows of prefixes over suffixes: S (access strings, S[0] the empty
     word), R (1-step extensions) and E (suffixes, E[0] the empty word).
 
-    The only storage is the row map S u R -> tuple over E; the cell of u and
-    e is the last output character of u·e.  Cells are asked of the batch
-    oracle ``oq_lasts``: one batch per ``add_extension`` (all its rows) and
-    one per ``add_suffix`` (the new column).  Cells of different rows may
-    name the same word, so ``oq_lasts`` should memoize.
+    Rows live in one map S u R -> tuple over E; the cell of u and e is the
+    last output character of u·e.  One index, rebuilt per epoch (between
+    two ``add_suffix`` calls), maps each S row to its state id: ``close``
+    matches R against it and ``hypothesis`` reads it.  Cells are asked of
+    the batch oracle ``oq_lasts``: one batch per ``add_extension`` (all its
+    rows) and one per ``add_suffix`` (the new column).  Cells of different
+    rows may name the same word, so ``oq_lasts`` should memoize.
 
     Data is checked as it enters, so hypotheses need no whole-machine check:
     a cell that is no output symbol, or an extension that does not end in an
@@ -40,14 +42,16 @@ class ObservationTable:
         self.R: list[Word] = []
         self.E: list[Word] = [()]
         self._rows: dict[Word, tuple[int, ...]] = {(): tuple(self._cells([()]))}
-        self._closed = True  # until a row or a suffix is added
         self._hypothesis: DetMoore | None = None  # valid until S, R or E change
         self._new_epoch()
 
     def _new_epoch(self) -> None:
-        # The epoch's hypothesis: S row -> state id (index in S), moves, and
-        # extensions added since the last build (the first reads all moves).
-        self._state_of: dict[tuple[int, ...], int] = {}
+        """Index the filled S rows (row -> state id, the index in S); no R
+        row is scanned yet, and the epoch's first build reads all moves."""
+        rows = self._rows
+        self._state_of: dict[tuple[int, ...], int] = {rows[s]: q for q, s in enumerate(self.S)}
+        assert len(self._state_of) == len(self.S), "S rows must stay pairwise distinct"
+        self._scanned = 0
         self._moves: list[dict[int, int]] = []
         self._added: list[Word] = []
 
@@ -74,7 +78,6 @@ class ObservationTable:
         rows.update(zip(prefixes, zip(*[iter(cells)] * len(E))))
         assert len(rows) == before + len(prefixes), "prefixes must be new and distinct"
         self.R += prefixes
-        self._closed = False
         self._hypothesis = None
         if self._moves:
             self._added += prefixes
@@ -83,54 +86,47 @@ class ObservationTable:
         """Add ``suffix`` to E, its column asked in one batch."""
         assert suffix not in self.E
         self.E.append(suffix)
-        self._closed = False
         self._hypothesis = None
-        self._new_epoch()
         rows, words = self._rows, self.S + self.R
         for u, cell in zip(words, self._cells([u + suffix for u in words])):
             rows[u] += (cell,)
+        self._new_epoch()
 
     def close(self) -> None:
         """Move unmatched rows from R to S until closed.
 
-        One scan of R in insertion order suffices: S only grows, so a row
-        matched once stays matched.
+        Scans only the R rows added since the last scan, as within an epoch
+        a matched row stays matched; each promoted row joins the row index.
         """
-        if self._closed:
-            return
-        rows = self._rows
-        s_rows = {rows[s] for s in self.S}
+        R, done, rows, state_of, S = self.R, self._scanned, self._rows, self._state_of, self.S
         matched = []
-        for r in self.R:
+        for r in R[done:]:
             row = rows[r]
-            if row in s_rows:
+            if row in state_of:
                 matched.append(r)
             else:
-                s_rows.add(row)
-                self.S.append(r)
+                state_of[row] = len(S)
+                S.append(r)
                 self._hypothesis = None
-        self.R = matched
-        self._closed = True
+        R[done:] = matched
+        self._scanned = len(R)
 
     def hypothesis(self) -> DetMoore:
         """Hypothesis machine from a closed table.
 
         States are the (pairwise distinct) S rows, numbered by position in
-        S; the transition on (row(s), i) is defined exactly when s·i is in
-        the table.  Between two ``add_suffix`` calls (an *epoch*) states,
-        outputs and transitions only accrue, so a build adds just the new
-        ones.  The machine is a fresh immutable copy, shared until the table
-        changes, and built without ``DetMoore``'s whole-machine check: its
-        outputs are checked cells and its moves checked extensions.
+        S as the row index holds them; the transition on (row(s), i) is
+        defined exactly when s·i is in the table.  Between two
+        ``add_suffix`` calls (an *epoch*) states, outputs and transitions
+        only accrue, so a build adds just the new ones.  The machine is a
+        fresh immutable copy, shared until the table changes, and built
+        without ``DetMoore``'s whole-machine check: its outputs are checked
+        cells and its moves checked extensions.
         """
         if self._hypothesis is None:
             rows, S, state_of, moves = self._rows, self.S, self._state_of, self._moves
             built = len(moves)
-            for s in S[built:]:
-                r = rows[s]
-                assert r not in state_of, "S rows must stay pairwise distinct"
-                state_of[r] = len(moves)
-                moves.append({})
+            moves += ({} for _ in S[built:])
             for w in self._added:  # new moves of the states built before
                 q = state_of.get(rows.get(w[:-1]), built)
                 if q < built and S[q] == w[:-1]:

@@ -322,6 +322,17 @@ def reference_walk_quotient(hypothesis, quotients, partitions, tables, depth):
     return emitted
 
 
+def proposed(hypothesis, tables, received):
+    """``one_ext_er``'s rule on a walk's per-component (state, base) pairs:
+    the state's access string with base plus each system-input part."""
+    sys_parts = hypothesis.network.wiring.sys_parts
+    return {
+        (c, tables[c].S[q], base + part)
+        for c, pairs, sys_part in zip(hypothesis.components, received, sys_parts)
+        for q, base in pairs for part in sys_part
+    }
+
+
 def assert_every_round_matches(spec, params, reference):
     """Run a close/extend/EQ loop (exact EQs) under ``params``; on every
     round, partial hypotheses included, ``one_ext_er`` must equal
@@ -379,8 +390,8 @@ def test_one_ext_eq_matches_generic_walk_on_identity_quotient(spec, bound):
         want = reference_walk_quotient(
             hyp, reference_quotient_mmn(hyp, partitions), partitions, tables, depth,
         )
-        assert _walk_quotient(
-            hyp, partitions, hyp.quotient_mmn(partitions), tables, depth) == want
+        assert proposed(hyp, tables, _walk_quotient(
+            hyp, partitions, hyp.quotient_mmn(partitions), depth)) == want
         return want
 
     _, fell_off = assert_every_round_matches(spec, params, reference)
@@ -406,9 +417,9 @@ def test_quotient_walk_matches_reference_quotient_walk(spec, abstraction, bound)
                 c: partition_from_block_of(m.n_states, [q // 2 for q in range(m.n_states)])
                 for c, m in hyp.machines.items()
             }
-            assert _walk_quotient(
-                hyp, pairs, hyp.quotient_mmn(pairs), tables, depth,
-            ) == reference_walk_quotient(
+            assert proposed(hyp, tables, _walk_quotient(
+                hyp, pairs, hyp.quotient_mmn(pairs), depth,
+            )) == reference_walk_quotient(
                 hyp, reference_quotient_mmn(hyp, pairs), pairs, tables, depth,
             )
         partitions = {

@@ -20,6 +20,7 @@ from mmnlearn.harness import (
     run_experiment,
     thm_bound_check,
 )
+from mmnlearn.oracles import EqTestConfig
 
 
 def cfg_binctr_ccwl(**kw):
@@ -41,6 +42,10 @@ def test_config_validation():
         ExperimentConfig("binctr:5", "magic")
     with pytest.raises(ConfigError):
         ExperimentConfig("binctr:5", "mnl", instances=0)
+    # EQs draw from the instance seed: a seed in eq_config would be ignored.
+    with pytest.raises(ConfigError, match="ExperimentConfig.seed"):
+        ExperimentConfig("binctr:5", "mnl", eq_config=EqTestConfig(seed=3))
+    ExperimentConfig("binctr:5", "mnl", eq_config=EqTestConfig(7, 11), seed=3)
 
 
 def test_run_experiment_binary_counter_table_row():

@@ -443,6 +443,7 @@ def test_rows_match_oracle_after_every_operation():
             else:
                 tbl.close()
                 assert is_closed(tbl)
+                assert tbl.hypothesis() == reference_hypothesis(tbl)
             members = set(tbl.S + tbl.R)
             assert len(members) == len(tbl.S) + len(tbl.R)
             for u in members:
