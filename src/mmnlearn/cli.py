@@ -19,11 +19,13 @@ import sys
 from . import benchmarks, serialize
 from .componentwise import CaBlowupError, CaParams
 from .harness import (
+    ALGORITHMS,
     ConfigError,
     ERROR,
     EqTestConfig,
     ExperimentConfig,
     INCORRECT,
+    REPORT_FORMATS,
     TIMEOUT,
     ci_profile,
     report,
@@ -43,18 +45,18 @@ def _setup_logging():
 
 def _add_learn_args(p: argparse.ArgumentParser):
     p.add_argument("--bench", required=True, help="benchmark spec, e.g. binctr:5")
-    p.add_argument("--algo", required=True, choices=("mnl", "cwl", "ccwl"))
+    p.add_argument("--algo", required=True, choices=ALGORITHMS)
     p.add_argument("--ca-e", default="eq", help="abstraction: eq | eqk:<k> | uni")
     p.add_argument("--ca-r", default="dinf", help="bound: dinf | d:<n> | dsum | dmax | dmin")
-    p.add_argument("--eq-words", type=int, default=100)
-    p.add_argument("--eq-len", type=int, default=260)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eq-words", type=int, default=EqTestConfig.words_per_eq)
+    p.add_argument("--eq-len", type=int, default=EqTestConfig.word_length)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p.add_argument("--instances", type=int, default=None,
                    help="default 10 for random families, else 1")
-    p.add_argument("--timeout", type=float, default=3600.0)
+    p.add_argument("--timeout", type=float, default=ExperimentConfig.timeout_s)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p.add_argument("--format", default="table", choices=("csv", "json", "table"))
+    p.add_argument("--format", default="table", choices=REPORT_FORMATS)
     p.add_argument("--validate", action=argparse.BooleanOptionalAction, default=True,
                    help="check the learned system exactly against the SUL")
     p.add_argument("--exact-eq", action="store_true",
@@ -111,7 +113,7 @@ def main(argv=None) -> int:
 
     suite_p = sub.add_parser("suite", help="run a preconfigured experiment grid")
     suite_p.add_argument("--preset", choices=("ci", "table1"), default="ci")
-    suite_p.add_argument("--format", default="table", choices=("csv", "json", "table"))
+    suite_p.add_argument("--format", default="table", choices=REPORT_FORMATS)
     suite_p.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)

@@ -338,8 +338,7 @@ def analyze_cex_componentwise(
     sul: Sul,
     tables: dict[NodeId, ObservationTable],
     caches: dict[NodeId, OqCache],
-    event_log: Optional[list[str]] = None,
-) -> bool:
+) -> tuple[NodeId, Optional[int]]:
     """Extended counterexample analysis (valid for sound and unsound CA).
 
     ``induced`` is the epoch's system machine the EQ ran on: its ``mmn`` is
@@ -350,7 +349,8 @@ def analyze_cex_componentwise(
     hypothesis simulation; rebuild that component's local input word from
     the observed total outputs and delegate to the suffix-based analyzer,
     which starts a new epoch.  Candidates tie-break by component order.
-    Returns whether a suffix was added, i.e. whether an epoch ends.
+    Returns the component whose table grew and, when a suffix was added
+    (the epoch ends), the tick of the first difference, else None.
     """
     hypothesis = induced.mmn
     comps = hypothesis.components
@@ -364,9 +364,7 @@ def analyze_cex_componentwise(
             if hypothesis.machines[c].transitions[config[k]].get(i_c) is None:
                 s = tables[c].S[config[k]]
                 tables[c].add_extension(s + (i_c,))
-                if event_log is not None:
-                    event_log.append("cex missing-transition c=%s" % c)
-                return False
+                return c, None
         raise SpuriousCounterexampleError("fell off but no missing transition found")
 
     observed = sul.oq_bar(word)
@@ -379,10 +377,8 @@ def analyze_cex_componentwise(
                 hypothesis.component_input(c, word[j], observed[j])
                 for j in range(len(word))
             )
-            if event_log is not None:
-                event_log.append("cex wrong-output c=%s tick=%d" % (c, t))
             analyze_cex(hypothesis.machines[c], local, caches[c], tables[c])
-            return True
+            return c, t
     raise SpuriousCounterexampleError(
         "counterexample shows no difference in total outputs"
     )
@@ -410,6 +406,11 @@ def ccwl(
     it (dropped by the last EQ); for the job, the last round's proposals (in
     their tables by now: not tested again) and, per unchanged machine, its
     partition and block output sets."""
+
+    def note(fmt: str, *args) -> None:
+        if event_log is not None:
+            event_log.append(fmt % args)
+
     eq = eq or sul.eq
     caches: dict[NodeId, OqCache] = {}
     tables: dict[NodeId, ObservationTable] = {}
@@ -436,26 +437,22 @@ def ccwl(
             (c, s, i) for (c, s, i) in proposals - tested if s + (i,) not in tables[c]
         )
         tested = proposals
-        if event_log is not None:
-            event_log.append(
-                "round proposals=%d new=%d" % (len(proposals), len(missing))
-            )
+        note("round proposals=%d new=%d", len(proposals), len(missing))
         if missing:  # sorted by component: one batch per table, R order kept
             for c, group in groupby(missing, lambda m: m[0]):
                 tables[c].add_extension(*(s + (i,) for _, s, i in group))
             continue
         eq_calls += 1
-        if event_log is not None:
-            event_log.append(
-                "eq issued n=%d known=%d" % (eq_calls, induced.n_explored() - 1)
-            )
+        note("eq issued n=%d known=%d", eq_calls, induced.n_explored() - 1)
         verdict = eq(induced)
         if verdict is True:
-            if event_log is not None:
-                event_log.append("eq yes after %d queries" % eq_calls)
+            note("eq yes after %d queries", eq_calls)
             return LearnedSystem(mmn=hypothesis, max_cex_length=max_cex)
         max_cex = max(max_cex, len(verdict.word))
-        if event_log is not None:
-            event_log.append("eq cex len=%d" % len(verdict.word))
-        if analyze_cex_componentwise(induced, verdict.word, sul, tables, caches, event_log):
+        note("eq cex len=%d", len(verdict.word))
+        c, tick = analyze_cex_componentwise(induced, verdict.word, sul, tables, caches)
+        if tick is None:
+            note("cex missing-transition c=%s", c)
+        else:
+            note("cex wrong-output c=%s tick=%d", c, tick)
             induced = None  # a new epoch: states may split, moves may change

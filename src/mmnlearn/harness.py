@@ -33,10 +33,14 @@ LEARNER_ERRORS = (CaBlowupError, SpuriousCounterexampleError, OracleContractErro
 
 ALGORITHMS = ("mnl", "cwl", "ccwl")
 
-REPORT_COLUMNS = [
-    "st.", "tr.", "OQ reset", "OQ step", "EQ", "EQ reset", "EQ step",
-    "L. time", "valid?",
-]
+# The report's columns: (label, ExperimentResult attribute).
+COLUMNS = (
+    ("st.", "states"), ("tr.", "transitions"), ("OQ reset", "oq_resets"),
+    ("OQ step", "oq_steps"), ("EQ", "eq_count"), ("EQ reset", "eq_resets"),
+    ("EQ step", "eq_steps"), ("L. time", "learner_time_seconds"),
+    ("valid?", "validation"),
+)
+REPORT_COLUMNS = [label for label, _ in COLUMNS]
 
 
 class ConfigError(ValueError):
@@ -66,6 +70,8 @@ class ExperimentConfig:
             raise ConfigError("instances must be >= 1")
         if self.eq_config.seed != 0:
             raise ConfigError("eq_config.seed is not read: set ExperimentConfig.seed")
+        if not self.timeout_s >= 0:  # also rejects NaN
+            raise ConfigError("timeout must be >= 0, not %r" % self.timeout_s)
 
 
 @dataclass
@@ -91,11 +97,7 @@ class ExperimentResult:
     error: str = ""  # the learner's exception, when validation is ERROR
 
     def row(self) -> list:
-        return [
-            self.states, self.transitions, self.oq_resets, self.oq_steps,
-            self.eq_count, self.eq_resets, self.eq_steps,
-            self.learner_time_seconds, self.validation,
-        ]
+        return [getattr(self, attr) for _, attr in COLUMNS]
 
     def to_json(self) -> dict:
         return dict(self.__dict__)
@@ -152,8 +154,7 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> Experim
         result.transitions = learned.n_transitions
         result.max_cex_length = learned.max_cex_length
         if cfg.validate:
-            target = learned.machine if learned.machine is not None else learned.mmn
-            verdict = sul.validate_exact(target)
+            verdict = sul.validate_exact(learned.system_machine())
             result.validation = VALIDATED if verdict is True else INCORRECT
     return result
 
@@ -218,38 +219,30 @@ def _aggregate(results: list[ExperimentResult]) -> dict:
     learned = [r for r in results if r.validation not in (TIMEOUT, ERROR)]
     n = len(learned)
     mean = lambda attr: sum(getattr(r, attr) for r in learned) / n if n else 0.0
-    counts = {
-        "st.": mean("states"),
-        "tr.": mean("transitions"),
-        "OQ reset": mean("oq_resets"),
-        "OQ step": mean("oq_steps"),
-        "EQ": mean("eq_count"),
-        "EQ reset": mean("eq_resets"),
-        "EQ step": mean("eq_steps"),
-        "L. time": mean("learner_time_seconds"),
-    }
-    counts["valid?"] = "/".join(
+    tally = "/".join(
         str(sum(r.validation == v for r in results))
         for v in (VALIDATED, INCORRECT, TIMEOUT, ERROR)
     )
-    return counts
+    return {label: tally if attr == "validation" else mean(attr)
+            for label, attr in COLUMNS}
+
+
+# Table cells of the columns that are not counts (those use format_count).
+_CELLS = {"learner_time_seconds": "%.2f".__mod__, "validation": str}
+
+REPORT_FORMATS = ("csv", "json", "table")
 
 
 def report(results: list[ExperimentResult], fmt: str = "table") -> str:
     """Render the results of one configuration: one row per instance plus
     the mean row."""
     if fmt == "json":
-        return json.dumps(
-            {
-                "instances": [r.to_json() for r in results],
-                "aggregate": _aggregate(results) if results else {},
-            },
-            indent=2, default=str,
-        ) + "\n"
+        blob = {"instances": [r.to_json() for r in results],
+                "aggregate": _aggregate(results) if results else {}}
+        return json.dumps(blob, indent=2, default=str) + "\n"
     rows = [(r.seed, r.row()) for r in results]
     if results:
-        agg = _aggregate(results)
-        rows.append(("mean", [agg[c] for c in REPORT_COLUMNS]))
+        rows.append(("mean", list(_aggregate(results).values())))
     config = ([results[0].benchmark, results[0].algorithm, results[0].ca_params]
               if results else ["", "", ""])
     out = io.StringIO()
@@ -262,7 +255,7 @@ def report(results: list[ExperimentResult], fmt: str = "table") -> str:
         label = "%s %s%s" % tuple(config)
         out.write("%-32s %s\n" % (label, " ".join("%9s" % c for c in REPORT_COLUMNS)))
         for seed, values in rows:
-            cells = [format_count(v) for v in values[:7]] + ["%.2f" % values[7], values[8]]
+            cells = [_CELLS.get(attr, format_count)(v) for (_, attr), v in zip(COLUMNS, values)]
             name = seed if seed == "mean" else "seed=%d" % seed
             out.write("%-32s %s\n" % (name, " ".join("%9s" % c for c in cells)))
         return out.getvalue()
@@ -319,16 +312,9 @@ def table1_profile(instances: int = 10) -> list[ExperimentConfig]:
     reconstructed.  Includes the Star(3)/Star(7) follow-up grid and the
     intermediate depth bounds.
     """
-    cas = [
-        CaParams("eq", None, "dinf", None),
-        CaParams("eq", None, "dsum", None),
-        CaParams("eq", None, "dmax", None),
-        CaParams("eq", None, "dmin", None),
-        CaParams("eq", None, "d", 0),
-        CaParams("eqk", 0, "dinf", None),
-        CaParams("eqk", 0, "d", 0),
-        CaParams("uni", None, "d", 0),
-    ]
+    cas = [CaParams.parse(*ca.split(",")) for ca in (
+        "eq,dinf", "eq,dsum", "eq,dmax", "eq,dmin", "eq,d:0",
+        "eqk:0,dinf", "eqk:0,d:0", "uni,d:0")]
     benches = [
         "rand:compl5:lean", "rand:star5:lean", "rand:path5:lean",
         "rand:compl5:rich", "rand:star5:rich", "rand:path5:rich",

@@ -13,7 +13,6 @@ consistency check is ever needed).
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -105,16 +104,16 @@ def analyze_cex(
         assert nxt is not None, "cex path must stay inside the defined part"
         path.append(nxt)
 
-    @functools.cache  # one query per split position, also without memoization
     def probe(k: int) -> int:
         return cache.last(table.S[path[k]] + w[k:])
 
+    # ``hi`` moves only to a ``mid`` answering ``top``: one query per position.
     lo, hi = 0, len(w)
-    if probe(lo) == probe(hi):
+    if probe(lo) == (top := probe(hi)):
         raise SpuriousCounterexampleError("no valid split position exists")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if probe(mid) != probe(hi):
+        if probe(mid) != top:
             lo = mid  # a split still lies in the upper half: prefer it
         else:
             hi = mid

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -610,6 +611,64 @@ def test_ccwl_event_log():
     known = [int(line.split("known=")[1]) for line in issued]
     assert len(known) == len(issued) > 1
     assert known[0] == 0 and max(known[1:]) > 0
+
+
+def test_ccwl_event_log_pinned_on_mqtt():
+    # The whole log of one job: a round line per round, an "eq issued" line
+    # per EQ, and after each counterexample exactly one analyzer line.
+    params = CaParams.parse("eqk:0", "d:0")
+    sul = build_sul(ExperimentConfig("mqtt", "ccwl", ca_params=params), 0)
+    log = []
+    ccwl(sul, params, event_log=log)
+    kinds = [" ".join(line.split()[:2]) for line in log]
+    assert len(log) == 347
+    assert kinds.count("eq cex") == 85 and kinds.count("eq issued") == 86
+    assert kinds.count("cex missing-transition") == 80
+    assert kinds.count("cex wrong-output") == 5
+    assert [b.split()[0] for a, b in zip(kinds, kinds[1:]) if a == "eq cex"] == ["cex"] * 85
+    assert log[-1] == "eq yes after 86 queries"
+    digest = hashlib.sha256("\n".join(log).encode()).hexdigest()
+    assert digest == "e910371e6c3123ca1f4451849062c9554927c0cc3f74b72b1f7f1b79d360de34"
+
+
+@pytest.mark.parametrize("spec, ca", [
+    ("mqtt", "eqk:0,d:0"), ("rand:star3:lean:mean=5:seed=2", "eq,dmin"),
+])
+def test_analyze_cex_componentwise_returns_its_branch(monkeypatch, spec, ca):
+    # The analyzer returns (component, tick): tick is None exactly when the
+    # word falls off the hypothesis, and then the component's R grew; else
+    # its E grew and tick is the first tick whose total outputs differ.
+    # No other table changes.
+    params = CaParams.parse(*ca.split(","))
+    sul = build_sul(ExperimentConfig(spec, "ccwl", ca_params=params), 0)
+    analyze = componentwise.analyze_cex_componentwise
+    branches = []
+
+    def checking_analyze(induced, word, sul, tables, caches):
+        configs = induced.trajectory(word)
+        fell_off = len(configs) <= len(word)
+        if not fell_off:
+            observed = sul.oq_bar(word)
+            first = next(t for t, config in enumerate(configs)
+                         if observed[t] != induced.mmn.total_output(config))
+        sizes = {c: (len(t.S), len(t.R), len(t.E)) for c, t in tables.items()}
+        c, tick = analyze(induced, word, sul, tables, caches)
+        after = {c: (len(t.S), len(t.R), len(t.E)) for c, t in tables.items()}
+        assert (tick is None) == fell_off
+        s, r, e = sizes[c]
+        if fell_off:
+            assert after[c][0] == s and after[c][1] > r and after[c][2] == e
+        else:
+            assert tick == first
+            assert after[c][:2] == (s, r) and after[c][2] > e
+        assert {k: v for k, v in after.items() if k != c} == {
+            k: v for k, v in sizes.items() if k != c}
+        branches.append(tick is None)
+        return c, tick
+
+    monkeypatch.setattr(componentwise, "analyze_cex_componentwise", checking_analyze)
+    ccwl(sul, params)
+    assert True in branches and False in branches
 
 
 @pytest.mark.parametrize("ca", ["eqk:0,d:0", "eq,dmin", "eq,dinf"])

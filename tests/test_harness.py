@@ -67,6 +67,23 @@ def test_timeout_zero_reports_timeout():
     assert res.validation == "timeout"
 
 
+@pytest.mark.parametrize("timeout", [float("nan"), -1.0])
+def test_timeout_must_be_nonnegative(timeout):
+    # NaN would switch the budget off: no time compares greater than it.
+    with pytest.raises(ConfigError, match="timeout"):
+        cfg_binctr_ccwl(timeout_s=timeout)
+    cfg_binctr_ccwl(timeout_s=float("inf"))
+
+
+@pytest.mark.parametrize("timeout", ["nan", "-1"])
+def test_cli_bad_timeout_exit_4(capsys, timeout):
+    code = cli_main([
+        "learn", "--bench", "binctr:3", "--algo", "mnl", "--timeout", timeout,
+    ])
+    assert code == 4
+    assert "timeout must be >= 0" in capsys.readouterr().err
+
+
 def test_determinism_same_seed():
     a = run_experiment(cfg_binctr_ccwl())
     b = run_experiment(cfg_binctr_ccwl())
@@ -239,6 +256,10 @@ def test_profiles_structurally_valid():
             assert cfg.ca_params is not None
     assert all(c.timeout_s <= 120 for c in ci)
     assert any(c.benchmark == "rand:star7:lean" for c in full)
+    assert sorted({str(c.ca_params) for c in full if c.ca_params}) == [
+        "(eq,d:0)", "(eq,dinf)", "(eq,dmax)", "(eq,dmin)", "(eq,dsum)",
+        "(eqk:0,d:0)", "(eqk:0,dinf)", "(uni,d:0)",
+    ]
 
 
 def test_run_batch_worker_pool_matches_sequential():
