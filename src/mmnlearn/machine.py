@@ -279,6 +279,27 @@ def _agree(m1, m2) -> bool:
     return True
 
 
+def moves_agree(m1: DetMoore, m2: DetMoore) -> bool:
+    """Whether ``equivalent(m1, m2)`` holds, with no witness: every state pair
+    reached in lockstep agrees on its output and on which moves it defines."""
+    t1, t2, o1, o2 = m1.transitions, m2.transitions, m1.outputs, m2.outputs
+    seen = {(m1.initial, m2.initial)}
+    stack = list(seen)
+    while stack:
+        q1, q2 = stack.pop()
+        row2 = t2[q2]
+        if o1[q1] != o2[q2] or len(t1[q1]) != len(row2):
+            return False
+        for i, n1 in t1[q1].items():
+            n2 = row2.get(i)
+            if n2 is None:
+                return False
+            if (n1, n2) not in seen:
+                seen.add((n1, n2))
+                stack.append((n1, n2))
+    return True
+
+
 def _witness(parent: dict, pair) -> Word:
     """The BFS access path of ``pair``."""
     inputs = []

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .machine import Counterexample, EQUIVALENT, Word, equivalent
+from .machine import Counterexample, EQUIVALENT, Word, equivalent, moves_agree
 from .network import InducedMoore, Mmn, NodeId
 
 
@@ -335,9 +335,14 @@ class Sul:
     # -- exact validation (not charged) ---------------------------------------
 
     def validate_exact(self, learned) -> "Counterexample | bool":
-        """Exact equivalence (``machine.equivalent``) between the learned
-        system and the SUL's induced machine.  Not charged to the query
-        counters."""
+        """Exact equivalence of the learned system (an ``Mmn``, its
+        ``InducedMoore`` or a ``DetMoore``) and the SUL's; not charged.  Equal
+        components on the SUL's network give equal systems, as tick by tick
+        each reads the same input; else ``equivalent`` finds the witness."""
+        mmn = getattr(learned, "mmn", learned)  # an InducedMoore's MMN
+        if isinstance(mmn, Mmn) and mmn.network is self.network and all(
+                moves_agree(mmn.machines[c], self._mmn.machines[c]) for c in self.components):
+            return EQUIVALENT
         if isinstance(learned, Mmn):
             learned = InducedMoore(learned)
         return equivalent(learned, self._induced)

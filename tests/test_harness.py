@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mmnlearn import cli, harness
+from mmnlearn import cli, harness, oracles
 from mmnlearn.cli import main as cli_main
 from mmnlearn.componentwise import CaBlowupError, CaParams
 from mmnlearn.harness import (
@@ -104,6 +104,17 @@ def test_validation_independence():
     for field in ("oq_resets", "oq_steps", "eq_count", "eq_resets", "eq_steps",
                   "states", "transitions"):
         assert getattr(a, field) == getattr(b, field)
+
+
+def test_cwl_validation_skips_the_system_product(monkeypatch):
+    # binctr:10's cwl components match the hidden ones one by one, so
+    # validation never builds the product of its 1,024 configurations.
+    calls = []
+    product = oracles.equivalent
+    monkeypatch.setattr(oracles, "equivalent", lambda *a: calls.append(a) or product(*a))
+    res = run_experiment(ExperimentConfig("binctr:10", "cwl"))
+    assert res.validation == VALIDATED
+    assert calls == []
 
 
 def test_run_batch_seeds_and_interrupt_safety():

@@ -14,6 +14,7 @@ from mmnlearn.machine import (
     MooreError,
     StatePartition,
     equivalent,
+    moves_agree,
     partition_eq_k,
     partition_uni,
 )
@@ -689,6 +690,57 @@ def test_equivalent_unrolled_copies_and_single_edits():
             res = equivalent(a, b)
             assert res is not EQUIVALENT
             assert res == path_bfs_equivalent(a, b)
+
+
+def with_unreachable(rng, m, extra):
+    """``m`` plus ``extra`` states that no state of ``m`` moves to, with
+    random outputs and (partial) moves: the same behaviour as ``m``."""
+    n = m.n_states + extra
+    trans = m.transitions + tuple(
+        {i: rng.randrange(n) for i in m.input_alphabet if rng.random() < 0.8}
+        for _ in range(extra)
+    )
+    outs = m.outputs + tuple(rng.randrange(len(m.output_alphabet)) for _ in range(extra))
+    return replace(m, n_states=n, transitions=trans, outputs=outs)
+
+
+def edited(rng, m):
+    """``m`` with one move dropped, redirected or added, or one output
+    flipped, at a random state, reachable or not."""
+    q = rng.randrange(m.n_states)
+    trans, outs = list(m.transitions), list(m.outputs)
+    i = rng.randrange(len(m.input_alphabet))
+    kind = rng.randrange(3)
+    if kind == 0 and i in trans[q]:
+        trans[q] = {j: t for j, t in trans[q].items() if j != i}
+    elif kind == 1:
+        trans[q] = {**trans[q], i: rng.randrange(m.n_states)}
+    else:
+        outs[q] = (outs[q] + 1) % len(m.output_alphabet)
+    return replace(m, transitions=tuple(trans), outputs=tuple(outs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from(["random", "unrolled", "unreachable"]))
+def test_moves_agree_exactly_when_equivalent(seed, kind):
+    """The component check says "yes" exactly when the product does, with
+    the learned side ``lm`` and the SUL side ``sm`` either way round."""
+    rng = random.Random(seed)
+    oa = Alphabet(["o0", "o1"])
+    lm = random_machine(rng, n_max=5, partial=rng.random() < 0.5, oa=oa)
+    if kind == "random":  # mostly inequivalent, partial on either side
+        other = random_machine(rng, n_max=5, partial=rng.random() < 0.5, oa=oa)
+        sm = DetMoore(lm.input_alphabet, oa, other.n_states, other.initial,
+                      tuple({i: t for i, t in row.items() if i < len(lm.input_alphabet)}
+                            for row in other.transitions), other.outputs)
+    elif kind == "unrolled":  # several SUL states per learned state
+        sm = unrolled(lm, rng.randint(2, 3))
+    else:  # differences only on unreachable states
+        lm, sm = with_unreachable(rng, lm, rng.randint(1, 3)), with_unreachable(rng, lm, 2)
+    if rng.random() < 0.5:
+        sm = edited(rng, sm)
+    for a, b in ((lm, sm), (sm, lm)):
+        assert moves_agree(a, b) == (equivalent(a, b) is EQUIVALENT)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,16 +1,18 @@
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from mmnlearn import oracles
 from mmnlearn.alphabet import Alphabet, AlphabetError
-from mmnlearn.benchmarks import binary_counter, mmn_ex, rand_mmn
-from mmnlearn.componentwise import CaParams
+from mmnlearn.benchmarks import binary_counter, from_spec, mmn_ex, rand_mmn, shipped_specs
+from mmnlearn.componentwise import CaParams, ccwl, cwl, mnl
 from mmnlearn.harness import ExperimentConfig, run_experiment
-from mmnlearn.machine import Counterexample, DetMoore
-from mmnlearn.network import InducedMoore, Mmn
+from mmnlearn.machine import Counterexample, DetMoore, equivalent
+from mmnlearn.network import InducedMoore, Mmn, Network
 from mmnlearn.oracles import EqTestConfig, QueryStats, Sul, random_word
+from tests.test_machine import reachable_states, unrolled
 from tests.test_network import materialize
 
 
@@ -711,6 +713,106 @@ def test_validate_exact_agrees_with_word_enumeration():
         assert (res is True) == (found is None)
         if found is not None:
             assert len(res.word) <= len(found)  # BFS witness is shortest
+
+
+# -- the component check in front of the product ---------------------------------
+
+
+def product_verdict(sul, learned):
+    """The product check alone: what ``validate_exact`` answered before the
+    component check, on a fresh SUL machine."""
+    if isinstance(learned, Mmn):
+        learned = InducedMoore(learned)
+    return equivalent(learned, InducedMoore(sul._mmn))
+
+
+def assert_matches_product(sul, learned):
+    expected = product_verdict(sul, learned)
+    assert sul.validate_exact(learned) == expected
+    if isinstance(learned, Mmn):  # one rule for an MMN and its InducedMoore
+        assert sul.validate_exact(InducedMoore(learned)) == expected
+    return expected
+
+
+LEARNERS = [("mnl", None), ("cwl", None)] + [
+    ("ccwl", ca) for ca in ("eq,dinf", "eqk:0,d:0", "uni,d:0", "eq,dmin")
+]
+
+
+def learn(sul, algorithm, ca):
+    if algorithm == "mnl":
+        return mnl(sul).machine
+    if algorithm == "cwl":
+        return cwl(sul).mmn
+    return ccwl(sul, CaParams.parse(*ca.split(","))).mmn
+
+
+@pytest.mark.parametrize(
+    "spec,algorithm,ca",
+    [(spec, algorithm, ca) for spec in shipped_specs() for algorithm, ca in LEARNERS
+     # mnl runs for over a minute on binctr:10, and cwl cannot learn
+     # mmn_ex's partial c2 (SpuriousCounterexampleError).
+     if (spec, algorithm) not in (("binctr:10", "mnl"), ("mmn_ex", "cwl"))],
+)
+def test_component_check_matches_product_on_learned_models(spec, algorithm, ca):
+    sul = sul_for(from_spec(spec))
+    assert_matches_product(sul, learn(sul, algorithm, ca))
+
+
+def with_machine(sul, c, machine):
+    """The SUL's MMN with ``c``'s machine replaced, on the SUL's own network."""
+    return Mmn(sul.network, {**sul._mmn.machines, c: machine}, check=False)
+
+
+def wrong_machines(rng, m):
+    """``m`` with one output flipped, then with one move redirected and with
+    it removed, each at a reachable state."""
+    q = rng.choice(reachable_states(m))
+    outs = list(m.outputs)
+    outs[q] = (outs[q] + 1) % len(m.output_alphabet)
+    yield replace(m, outputs=tuple(outs))
+    trans = list(m.transitions)
+    q = rng.choice([p for p in reachable_states(m) if trans[p]])
+    i = rng.choice(sorted(trans[q]))
+    for row in ({**trans[q], i: (trans[q][i] + 1) % m.n_states},
+                {j: t for j, t in trans[q].items() if j != i}):
+        yield replace(m, transitions=tuple(trans[:q] + [row] + trans[q + 1:]))
+
+
+@pytest.mark.parametrize("spec", shipped_specs())
+def test_component_check_matches_product_on_wrong_models(spec):
+    sul = sul_for(from_spec(spec))
+    rng = random.Random(spec)
+    differences = 0
+    for c in sul.components:
+        m = sul._mmn.machines[c]
+        for edited in wrong_machines(rng, m):
+            verdict = assert_matches_product(sul, with_machine(sul, c, edited))
+            differences += verdict is not True
+        # An unreachable state with the initial state's moves and the other
+        # output, and a copy with every state twice: both equivalent.
+        unreachable = replace(
+            m, n_states=m.n_states + 1,
+            transitions=m.transitions + (m.transitions[m.initial],),
+            outputs=m.outputs + ((m.outputs[m.initial] + 1) % len(m.output_alphabet),),
+        )
+        for equal in (unreachable, unrolled(m, 2)):
+            assert assert_matches_product(sul, with_machine(sul, c, equal)) is True
+    assert differences > 0
+
+
+def test_component_check_needs_the_sul_network():
+    # The SUL's machines on a network that reads the system outputs in the
+    # other order: every component matches, but the systems differ.
+    sul = sul_for(mmn_ex())
+    net = sul.network
+    edges = list(net.edges)
+    a, b = (edges.index(e) for e in net.system_out_edges)
+    edges[a], edges[b] = edges[b], edges[a]
+    rewired = Network(list(net.node_class.items()),
+                      [(src, dst, net.edge_alphabet[(src, dst)]) for src, dst in edges])
+    model = Mmn(rewired, sul._mmn.machines)
+    assert isinstance(assert_matches_product(sul, model), Counterexample)
 
 
 # -- stats conservation --------------------------------------------------------------
