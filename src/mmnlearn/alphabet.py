@@ -20,11 +20,12 @@ class Alphabet:
     """A nonempty ordered finite set of symbols.
 
     Base alphabets are built from display names.  Product alphabets are built
-    with :func:`product_alphabet` and carry ``keys``/``factors``, so a symbol
-    can be read per factor (:meth:`digit`, :meth:`key_pos`).
+    with :func:`product_alphabet` and carry ``keys``/``factors`` and each
+    factor's place value in ``strides``, so a symbol can be read per factor
+    (:meth:`digit`, :meth:`key_pos`).
     """
 
-    __slots__ = ("_names", "_index", "keys", "factors", "_strides", "_size")
+    __slots__ = ("_names", "_index", "keys", "factors", "strides", "_size")
 
     def __init__(self, names: Sequence[str]):
         if len(names) == 0:
@@ -38,7 +39,7 @@ class Alphabet:
         self._index = {n: i for i, n in enumerate(names)}
         self.keys: tuple[Hashable, ...] | None = None
         self.factors: tuple[Alphabet, ...] | None = None
-        self._strides: tuple[int, ...] | None = None
+        self.strides: tuple[int, ...] | None = None
         self._size = len(names)
 
     def __len__(self) -> int:
@@ -90,21 +91,21 @@ class Alphabet:
 
     def digits(self, sym: int) -> tuple[int, ...]:
         """Per-factor symbols of a product symbol."""
-        assert self._strides is not None and self.factors is not None
+        assert self.strides is not None and self.factors is not None
         return tuple(
-            (sym // stride) % len(f) for stride, f in zip(self._strides, self.factors)
+            (sym // stride) % len(f) for stride, f in zip(self.strides, self.factors)
         )
 
     def digit(self, sym: int, pos: int) -> int:
-        assert self._strides is not None and self.factors is not None
-        return (sym // self._strides[pos]) % len(self.factors[pos])
+        assert self.strides is not None and self.factors is not None
+        return (sym // self.strides[pos]) % len(self.factors[pos])
 
     def encode(self, digits: Sequence[int]) -> int:
-        assert self._strides is not None and self.factors is not None
+        assert self.strides is not None and self.factors is not None
         if len(digits) != len(self.factors):
             raise AlphabetError("arity mismatch")
         sym = 0
-        for d, stride, f in zip(digits, self._strides, self.factors):
+        for d, stride, f in zip(digits, self.strides, self.factors):
             if not 0 <= d < len(f):
                 raise AlphabetError("factor symbol %d out of range" % d)
             sym += d * stride
@@ -141,7 +142,7 @@ def product_alphabet(factors: Iterable[tuple[Hashable, Alphabet]]) -> Alphabet:
     obj._index = {}
     obj.keys = keys
     obj.factors = facs
-    obj._strides = tuple(reversed(rev))
+    obj.strides = tuple(reversed(rev))
     obj._size = size
     return obj
 

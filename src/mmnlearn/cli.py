@@ -20,7 +20,6 @@ from . import benchmarks, serialize
 from .componentwise import CaBlowupError, CaParams
 from .harness import (
     ALGORITHMS,
-    ConfigError,
     ERROR,
     EqTestConfig,
     ExperimentConfig,
@@ -73,13 +72,12 @@ def _config_from_args(args) -> ExperimentConfig:
         benchmark=args.bench,
         algorithm=args.algo,
         ca_params=ca,
-        eq_config=EqTestConfig(args.eq_words, args.eq_len),
+        eq_config=EqTestConfig(args.eq_words, args.eq_len, exact=args.exact_eq),
         seed=args.seed,
         instances=instances,
         timeout_s=args.timeout,
         validate=args.validate,
         memoize=not args.no_memoize,
-        exact_eq=args.exact_eq,
     )
 
 
@@ -121,7 +119,7 @@ def main(argv=None) -> int:
     if args.command == "bench":
         try:
             mmn = benchmarks.from_spec(args.spec)
-        except (benchmarks.BenchmarkError, ValueError) as exc:
+        except ValueError as exc:  # BenchmarkError included
             print("config error: %s" % exc, file=sys.stderr)
             return 4
         serialize.write_mmn(mmn, args.path)
@@ -132,7 +130,7 @@ def main(argv=None) -> int:
         try:
             cfg = _config_from_args(args)
             results = run_batch(cfg, workers=args.workers)
-        except (ConfigError, benchmarks.BenchmarkError, ValueError) as exc:
+        except ValueError as exc:  # ConfigError and BenchmarkError included
             print("config error: %s" % exc, file=sys.stderr)
             return 4
         _write_report(report(results, args.format), args.out)

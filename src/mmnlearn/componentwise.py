@@ -131,20 +131,17 @@ class LearnedSystem:
         return self.machine if self.machine is not None else InducedMoore(self.mmn)
 
 
-def mnl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None,
-        eq=None) -> LearnedSystem:
+def mnl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None) -> LearnedSystem:
     """Monolithic L* over the system-level oracles."""
     res = lstar(
-        sul.system_inputs, sul.system_outputs, sul.oq, sul.oq_lasts, eq or sul.eq,
+        sul.system_inputs, sul.system_outputs, sul.oq, sul.oq_lasts, sul.eq,
         memoize=memoize, deadline=deadline,
     )
     return LearnedSystem(machine=res.machine, max_cex_length=res.max_cex_length)
 
 
-def cwl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None,
-        eq_c=None) -> LearnedSystem:
+def cwl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None) -> LearnedSystem:
     """Naive componentwise L*: each component learned in isolation."""
-    eq_c = eq_c or sul.eq_c
     machines: dict[NodeId, DetMoore] = {}
     max_cex = 0
     for c in sul.components:
@@ -153,7 +150,7 @@ def cwl(sul: Sul, memoize: bool = True, deadline: Optional[float] = None,
             sul.component_output_alphabet(c),
             partial(sul.oq_c, c),
             partial(sul.oq_c_lasts, c),
-            partial(eq_c, c),
+            partial(sul.eq_c, c),
             memoize=memoize, deadline=deadline,
         )
         machines[c] = res.machine
@@ -389,7 +386,6 @@ def ccwl(
     params: CaParams,
     memoize: bool = True,
     deadline: Optional[float] = None,
-    eq=None,
     event_log: Optional[list[str]] = None,
 ) -> LearnedSystem:
     """Contextual componentwise L* (component OQs + system-level EQs);
@@ -411,7 +407,6 @@ def ccwl(
         if event_log is not None:
             event_log.append(fmt % args)
 
-    eq = eq or sul.eq
     caches: dict[NodeId, OqCache] = {}
     tables: dict[NodeId, ObservationTable] = {}
     for c in sul.components:
@@ -444,7 +439,7 @@ def ccwl(
             continue
         eq_calls += 1
         note("eq issued n=%d known=%d", eq_calls, induced.n_explored() - 1)
-        verdict = eq(induced)
+        verdict = sul.eq(induced)
         if verdict is True:
             note("eq yes after %d queries", eq_calls)
             return LearnedSystem(mmn=hypothesis, max_cex_length=max_cex)

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import benchmarks
@@ -59,7 +59,6 @@ class ExperimentConfig:
     timeout_s: float = 3600.0
     validate: bool = True
     memoize: bool = True
-    exact_eq: bool = False  # substitute exact checking for testing EQs
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -108,10 +107,7 @@ def build_sul(cfg: ExperimentConfig, seed: int) -> Sul:
     if spec.startswith("rand:") and "seed=" not in spec:
         spec = "%s:seed=%d" % (spec, seed)
     mmn = benchmarks.from_spec(spec)
-    eq_cfg = EqTestConfig(
-        cfg.eq_config.words_per_eq, cfg.eq_config.word_length, seed
-    )
-    return Sul(mmn, eq_cfg)
+    return Sul(mmn, replace(cfg.eq_config, seed=seed))
 
 
 def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> ExperimentResult:
@@ -127,19 +123,15 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> Experim
         sul_input_alphabet=len(sul.system_inputs),
     )
     deadline = time.monotonic() + cfg.timeout_s
-    eq = sul.exact_eq if cfg.exact_eq else None
-    eq_c = sul.exact_eq_c if cfg.exact_eq else None
     t0 = time.monotonic()
     learned = None
     try:
         if cfg.algorithm == "mnl":
-            learned = mnl(sul, memoize=cfg.memoize, deadline=deadline, eq=eq)
+            learned = mnl(sul, memoize=cfg.memoize, deadline=deadline)
         elif cfg.algorithm == "cwl":
-            learned = cwl(sul, memoize=cfg.memoize, deadline=deadline, eq_c=eq_c)
+            learned = cwl(sul, memoize=cfg.memoize, deadline=deadline)
         else:
-            learned = ccwl(
-                sul, cfg.ca_params, memoize=cfg.memoize, deadline=deadline, eq=eq
-            )
+            learned = ccwl(sul, cfg.ca_params, memoize=cfg.memoize, deadline=deadline)
     except LearningTimeout:
         result.validation = TIMEOUT
     except LEARNER_ERRORS as exc:

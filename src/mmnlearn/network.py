@@ -129,7 +129,7 @@ class Wiring:
         def reader(alpha: Alphabet, e: Edge) -> tuple[int, int]:
             # (stride, size) of edge e's digit in a symbol of alpha.
             pos = alpha.key_pos(e)
-            return alpha._strides[pos], len(alpha.factors[pos])
+            return alpha.strides[pos], len(alpha.factors[pos])
 
         sys_in = self.system_inputs
         self.sys_parts: list[list[int]] = []
@@ -137,7 +137,7 @@ class Wiring:
         for c in comps:
             sys_part = [0] * len(sys_in)
             feeds = []
-            for e, tstride in zip(net.in_edges[c], self.input_alphabets[c]._strides):
+            for e, tstride in zip(net.in_edges[c], self.input_alphabets[c].strides):
                 if net.node_class[e[0]] == NODE_INPUT:
                     stride, size = reader(sys_in, e)
                     sys_part = [p + (i // stride) % size * tstride
@@ -149,7 +149,7 @@ class Wiring:
             self.feeds.append(feeds)
         self.out_reads = [
             (self.index[e[0]], *reader(self.output_alphabets[e[0]], e), tstride)
-            for e, tstride in zip(net.system_out_edges, self.system_outputs._strides)
+            for e, tstride in zip(net.system_out_edges, self.system_outputs.strides)
         ]
 
 

@@ -76,11 +76,13 @@ class OracleContractError(RuntimeError):
 
 @dataclass
 class EqTestConfig:
-    """Random-testing equivalence queries: how many words, how long."""
+    """How the SUL answers equivalence queries: by random testing (how many
+    words, how long, from which seed) or, with ``exact``, by exact checking."""
 
     words_per_eq: int = 100
     word_length: int = 260
     seed: int = 0
+    exact: bool = False
 
     def __post_init__(self):
         if self.words_per_eq < 1 or self.word_length < 1:
@@ -207,27 +209,41 @@ class Sul:
     # -- equivalence queries ---------------------------------------------------
 
     def eq(self, hypothesis) -> "Counterexample | bool":
-        """Random-word testing against the hypothesis system machine.
+        """System-level EQ, answered as ``eq_config`` says.
 
-        Draws up to ``words_per_eq`` uniform words of ``word_length`` (each
-        symbol is ``randrange(|I|)`` of the SUL's seeded generator, see
-        :func:`random_word`) and returns the first word whose SUL output
-        differs from the hypothesis output (missing transitions in the
-        hypothesis truncate its output and count as differences).  Each word
-        is charged whole, but both machines are stepped only up to the first
-        difference, and not at all once the query's product rows are full
-        (see :meth:`_random_eq`).
+        Random testing draws up to ``words_per_eq`` uniform words of
+        ``word_length`` (each symbol is ``randrange(|I|)`` of the SUL's
+        seeded generator, see :func:`random_word`) and returns the first
+        word whose SUL output differs from the hypothesis output (missing
+        transitions in the hypothesis truncate its output and count as
+        differences).  Each word is charged whole, but both machines are
+        stepped only up to the first difference, and not at all once the
+        query's product rows are full (see :meth:`_random_eq`).
 
         A counterexample keeps the product for the next EQ on the same
         ``hypothesis`` object, which may only have grown since: ``ccwl``'s
         epoch memo across ``InducedMoore.rebind``.  A new object, as ``mnl``
         and ``cwl`` hand in every round, frees it.
+
+        With ``exact`` set, the EQ is answered by :meth:`_exact`, the check
+        validation runs: one EQ is charged, no words, and its time goes to
+        ``oracle_seconds`` like every oracle call's.
         """
-        return self._random_eq(self._induced, hypothesis)
+        return self._eq(self._induced, hypothesis)
 
     def eq_c(self, c: NodeId, hypothesis) -> "Counterexample | bool":
-        """Component-level testing EQ over the component's own alphabet."""
-        return self._random_eq(self._mmn.machines[c], hypothesis)
+        """Component-level EQ over the component's own alphabet, answered
+        like :meth:`eq`."""
+        return self._eq(self._mmn.machines[c], hypothesis)
+
+    def _eq(self, target, hypothesis):
+        if not self.eq_config.exact:
+            return self._random_eq(target, hypothesis)
+        t0 = time.perf_counter()
+        self.stats._eq()
+        result = self._exact(target, hypothesis)
+        self.oracle_seconds += time.perf_counter() - t0
+        return result
 
     def _random_eq(self, target, hypothesis):
         """Compare ``target`` and ``hypothesis`` on random words, pair by pair.
@@ -336,35 +352,18 @@ class Sul:
 
     def validate_exact(self, learned) -> "Counterexample | bool":
         """Exact equivalence of the learned system (an ``Mmn``, its
-        ``InducedMoore`` or a ``DetMoore``) and the SUL's; not charged.  Equal
-        components on the SUL's network give equal systems, as tick by tick
-        each reads the same input; else ``equivalent`` finds the witness."""
-        mmn = getattr(learned, "mmn", learned)  # an InducedMoore's MMN
-        if isinstance(mmn, Mmn) and mmn.network is self.network and all(
+        ``InducedMoore`` or a ``DetMoore``) and the SUL's; not charged."""
+        return self._exact(self._induced, learned)
+
+    def _exact(self, target, model) -> "Counterexample | bool":
+        """Exact equivalence of ``model`` and ``target``, uncharged.  Against
+        the SUL system, equal components on the SUL's network give equal
+        systems, as tick by tick each reads the same input; else
+        ``equivalent`` finds the witness."""
+        mmn = getattr(model, "mmn", model)  # an InducedMoore's MMN
+        if target is self._induced and isinstance(mmn, Mmn) and mmn.network is self.network and all(
                 moves_agree(mmn.machines[c], self._mmn.machines[c]) for c in self.components):
             return EQUIVALENT
-        if isinstance(learned, Mmn):
-            learned = InducedMoore(learned)
-        return equivalent(learned, self._induced)
-
-    # -- exact equivalence used in place of testing EQs ------------------------
-
-    def exact_eq(self, hypothesis) -> "Counterexample | bool":
-        """System-level EQ answered by exact equivalence checking.
-
-        Counts as one EQ (no resets/steps: no words are executed) and, like
-        every oracle call, adds its time to ``oracle_seconds``.  Useful for
-        regression runs where probabilistic EQs would add noise.
-        """
-        return self._exact_eq(self._induced, hypothesis)
-
-    def exact_eq_c(self, c: NodeId, hypothesis) -> "Counterexample | bool":
-        """Component-level analogue of :meth:`exact_eq`."""
-        return self._exact_eq(self._mmn.machines[c], hypothesis)
-
-    def _exact_eq(self, target, hypothesis):
-        t0 = time.perf_counter()
-        self.stats._eq()
-        result = equivalent(hypothesis, target)
-        self.oracle_seconds += time.perf_counter() - t0
-        return result
+        if isinstance(model, Mmn):
+            model = InducedMoore(model)
+        return equivalent(model, target)

@@ -26,8 +26,8 @@ from tests.test_machine import brute_force_equivalent, random_machine
 from tests.test_network import materialize, simulate
 
 
-def sul_for(mmn, seed):
-    return Sul(mmn, EqTestConfig(seed=seed))
+def sul_for(mmn, seed, exact=False):
+    return Sul(mmn, EqTestConfig(seed=seed, exact=exact))
 
 
 def report(criterion, ok, detail):
@@ -186,8 +186,8 @@ def test_criterion_6_exact_eq_regression_all_params():
     count = 0
     for spec in shipped_specs(max_total_states=60):
         for p in params:
-            s = sul_for(from_spec(spec), seed=3)
-            r = ccwl(s, p, eq=s.exact_eq)
+            s = sul_for(from_spec(spec), seed=3, exact=True)
+            r = ccwl(s, p)
             count += 1
             if s.validate_exact(r.mmn) is not True:
                 failures.append((spec, str(p)))

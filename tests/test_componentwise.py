@@ -234,14 +234,15 @@ def test_ccwl_context_walk_matches_reference_every_round(monkeypatch, bound):
                 kinds.add("grew")
             return got
 
-        def checking_eq(ind):
-            verdict = sul.eq(ind)
+        def checking_eq(ind, eq=sul.eq):
+            verdict = eq(ind)
             if verdict is not True:
                 last["fell_off"] = len(ind.trajectory(verdict.word)) <= len(verdict.word)
             return verdict
 
         monkeypatch.setattr(componentwise, "one_ext_er", checking_one_ext_er)
-        res = ccwl(sul, params, eq=checking_eq)
+        monkeypatch.setattr(sul, "eq", checking_eq)
+        res = ccwl(sul, params)
         assert sul.validate_exact(res.mmn) is True
     # Only the sound bound leaves no hypothesis to fall off, and only depth
     # 0 never steps the memo.
@@ -339,7 +340,7 @@ def assert_every_round_matches(spec, params, reference):
     round, partial hypotheses included, ``one_ext_er`` must equal
     ``reference(hyp, tables)``.  Returns (rounds that added extensions,
     EQs whose counterexample falls off the hypothesis)."""
-    sul = Sul(from_spec(spec), EqTestConfig(seed=0))
+    sul = Sul(from_spec(spec), EqTestConfig(seed=0, exact=True))
     tables, caches = fresh_tables(sul)
     extended_rounds = fell_off_cexs = 0
     for _ in range(500):
@@ -356,7 +357,7 @@ def assert_every_round_matches(spec, params, reference):
                 tables[c].add_extension(s + (i,))
             continue
         ind = InducedMoore(hyp)
-        verdict = sul.exact_eq(ind)
+        verdict = sul.eq(ind)
         if verdict is True:
             break
         if len(ind.trajectory(verdict.word)) <= len(verdict.word):
@@ -566,8 +567,8 @@ def test_analyze_cex_componentwise_rejects_a_word_without_a_difference():
 def test_ccwl_correct_under_exact_eq_on_random_mmns():
     for seed in range(4):
         mmn = rand_mmn("path", 2, "lean", seed=seed, mean=3.0)
-        sul = Sul(mmn, EqTestConfig(seed=seed))
-        res = ccwl(sul, CaParams(), eq=sul.exact_eq)
+        sul = Sul(mmn, EqTestConfig(seed=seed, exact=True))
+        res = ccwl(sul, CaParams())
         assert sul.validate_exact(res.mmn) is True
 
 
@@ -579,8 +580,8 @@ def test_ccwl_all_params_exact_eq_small_benchmarks():
         CaParams("eq", None, "d", 0),
     ]
     for p in params:
-        sul = Sul(binary_counter(3), EqTestConfig(seed=7))
-        res = ccwl(sul, p, eq=sul.exact_eq)
+        sul = Sul(binary_counter(3), EqTestConfig(seed=7, exact=True))
+        res = ccwl(sul, p)
         assert sul.validate_exact(res.mmn) is True, str(p)
 
 
@@ -679,12 +680,13 @@ def test_ccwl_keeps_the_eq_product_per_epoch_and_releases_it(ca):
     sul = build_sul(ExperimentConfig("mqtt", "ccwl", ca_params=params), 0)
     kept = []
 
-    def recording_eq(ind):
-        verdict = sul.eq(ind)
+    def recording_eq(ind, eq=sul.eq):
+        verdict = eq(ind)
         kept.append(sul._product is not None and sul._product[0] is ind)
         return verdict
 
-    res = ccwl(sul, params, eq=recording_eq)
+    sul.eq = recording_eq
+    res = ccwl(sul, params)
     assert sul._product is None
     assert len(kept) > 1 and all(kept[:-1]) and not kept[-1]
     assert sul.validate_exact(res.mmn) is True
@@ -838,7 +840,7 @@ def test_ccwl_epoch_invariant(monkeypatch, spec, ca):
         rounds.append((assemble(sul, tables), sum(len(t.E) for t in tables.values())))
         return rounds[-1][0]
 
-    def checking_eq(ind):
+    def checking_eq(ind, eq=sul.eq):
         hyp, suffixes = rounds[-1]
         assert ind.mmn is hyp
         if eqs:
@@ -846,12 +848,13 @@ def test_ccwl_epoch_invariant(monkeypatch, spec, ca):
             assert (ind is last) == (suffixes == last_suffixes)
         eqs.append((ind, suffixes))
         memo_entries_agree(ind)
-        verdict = sul.eq(ind)
+        verdict = eq(ind)
         checked.append(memo_entries_agree(ind))
         return verdict
 
     monkeypatch.setattr(componentwise, "assemble", checking_assemble)
-    ccwl(sul, params, eq=checking_eq)
+    monkeypatch.setattr(sul, "eq", checking_eq)
+    ccwl(sul, params)
     assert len(rounds) > 1 and sum(checked) > 0
 
 

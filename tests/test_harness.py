@@ -307,9 +307,17 @@ def test_no_memoize_counts(spec, algorithm, ca, resets, steps):
     ("mnl", None), ("cwl", None), ("ccwl", CaParams()),
 ])
 def test_exact_eq_runs_no_words(algorithm, ca):
-    r = run_experiment(ExperimentConfig("binctr:5", algorithm, ca, exact_eq=True))
+    r = run_experiment(ExperimentConfig("binctr:5", algorithm, ca,
+                                        eq_config=EqTestConfig(exact=True)))
     assert r.validation == VALIDATED
     assert r.eq_count > 0 and r.eq_resets == r.eq_steps == 0
+
+
+def test_build_sul_replaces_only_the_eq_seed():
+    eq_config = EqTestConfig(7, 11, exact=True)
+    sul = harness.build_sul(ExperimentConfig("binctr:5", "cwl", eq_config=eq_config), 5)
+    assert sul.eq_config == EqTestConfig(7, 11, 5, exact=True)
+    assert eq_config == EqTestConfig(7, 11, 0, exact=True)
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -361,6 +369,17 @@ def test_cli_eq_options_reach_the_sul(monkeypatch, tmp_path, capsys):
     (row,) = json.loads(out.read_text())["instances"]
     assert row["eq_steps"] == 11 * row["eq_resets"] > 0
     assert row["eq_resets"] <= 7 * row["eq_count"]
+
+
+def test_cli_exact_eq_runs_no_words(tmp_path, capsys):
+    out = tmp_path / "res.json"
+    assert cli_main([
+        "learn", "--bench", "binctr:5", "--algo", "cwl", "--exact-eq",
+        "--format", "json", "--out", str(out),
+    ]) == 0
+    (row,) = json.loads(out.read_text())["instances"]
+    assert row["validation"] == VALIDATED
+    assert row["eq_count"] > 0 and row["eq_resets"] == row["eq_steps"] == 0
 
 
 def test_cli_bench_export_roundtrip(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import random
 import time
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -16,8 +17,8 @@ from tests.test_machine import reachable_states, unrolled
 from tests.test_network import materialize
 
 
-def sul_for(mmn, seed=0, words=100, length=260):
-    return Sul(mmn, EqTestConfig(words, length, seed))
+def sul_for(mmn, seed=0, words=100, length=260, exact=False):
+    return Sul(mmn, EqTestConfig(words, length, seed, exact))
 
 
 def w(alpha, *names):
@@ -731,7 +732,25 @@ def assert_matches_product(sul, learned):
     assert sul.validate_exact(learned) == expected
     if isinstance(learned, Mmn):  # one rule for an MMN and its InducedMoore
         assert sul.validate_exact(InducedMoore(learned)) == expected
+    assert_exact_eqs_match(sul, learned, expected)
     return expected
+
+
+def assert_exact_eqs_match(sul, learned, expected):
+    """Exact EQs on the SUL's MMN answer like ``equivalent``: ``eq`` on the
+    learned system, ``eq_c`` on each learned component.  Each charges one
+    EQ and no words."""
+    exact = Sul(sul._mmn, EqTestConfig(exact=True))
+    if isinstance(learned, Mmn):
+        queries = [(partial(exact.eq, InducedMoore(learned)), expected)] + [
+            (partial(exact.eq_c, c, m), equivalent(m, sul._mmn.machines[c]))
+            for c, m in learned.machines.items()
+        ]
+    else:
+        queries = [(partial(exact.eq, learned), expected)]
+    for n, (ask, want) in enumerate(queries, 1):
+        assert ask() == want
+        assert exact.stats.snapshot() == {**QueryStats().snapshot(), "eq_count": n}
 
 
 LEARNERS = [("mnl", None), ("cwl", None)] + [
@@ -846,9 +865,9 @@ def test_stats_snapshot_is_the_five_totals():
 
 
 def test_exact_eq_charges_one_eq_and_no_words():
-    s = sul_for(binary_counter(2))
-    assert s.exact_eq(materialize(s._mmn)) is True
-    assert s.exact_eq_c("c1", s._mmn.machines["c1"]) is True
+    s = sul_for(binary_counter(2), exact=True)
+    assert s.eq(materialize(s._mmn)) is True
+    assert s.eq_c("c1", s._mmn.machines["c1"]) is True
     assert s.stats.snapshot() == {**QueryStats().snapshot(), "eq_count": 2}
 
 
@@ -860,7 +879,7 @@ def test_exact_eq_time_counts_as_oracle_time(monkeypatch):
         return real(m1, m2)
 
     monkeypatch.setattr(oracles, "equivalent", slow_equivalent)
-    s = sul_for(binary_counter(2))
-    assert s.exact_eq(materialize(s._mmn)) is True
-    assert s.exact_eq_c("c1", s._mmn.machines["c1"]) is True
+    s = sul_for(binary_counter(2), exact=True)
+    assert s.eq(materialize(s._mmn)) is True
+    assert s.eq_c("c1", s._mmn.machines["c1"]) is True
     assert s.oracle_seconds >= 0.1

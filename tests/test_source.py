@@ -177,14 +177,24 @@ def test_private_state_checker():
     assert foreign_reads(reader, names) == [("_steps", 4), ("_cache", 4)]
 
 
+def reads_of_private_state(owner):
+    """Per other package module, its reads of ``owner``'s private state."""
+    names = private_self_attributes((SRC / owner).read_text())
+    return {
+        path.name: reads
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != owner
+        and (reads := foreign_reads(path.read_text(), names))
+    }
+
+
 def test_no_module_reads_network_private_state():
     """Other modules read the network and its MMNs only through public
     attributes such as ``Network.wiring``."""
-    names = private_self_attributes((SRC / "network.py").read_text())
-    found = {
-        path.name: reads
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "network.py"
-        and (reads := foreign_reads(path.read_text(), names))
-    }
-    assert found == {}
+    assert reads_of_private_state("network.py") == {}
+
+
+def test_no_module_reads_alphabet_private_state():
+    """Other modules read alphabets only through public attributes such as
+    ``Alphabet.strides``."""
+    assert reads_of_private_state("alphabet.py") == {}
