@@ -5,7 +5,8 @@
     mmnlearn suite --preset ci
 
 Exit codes: 0 success, 2 validation failed, 3 timeout, 4 config or learner
-error (the report is still printed when a learner error ends an instance).
+error, or an output path that cannot be written (checked before learning;
+the report is still printed when a learner error ends an instance).
 Set MMNLEARN_LOG=debug for verbose logging.
 """
 
@@ -122,9 +123,20 @@ def main(argv=None) -> int:
         except ValueError as exc:  # BenchmarkError included
             print("config error: %s" % exc, file=sys.stderr)
             return 4
-        serialize.write_mmn(mmn, args.path)
+        try:
+            serialize.write_mmn(mmn, args.path)
+        except OSError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 4
         print("wrote %s" % args.path)
         return 0
+
+    try:  # before learning; an existing report is kept until the new one is written
+        if args.out:
+            open(args.out, "a").close()
+    except OSError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 4
 
     if args.command == "learn":
         try:

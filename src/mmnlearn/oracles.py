@@ -127,6 +127,7 @@ class Sul:
         self.stats = QueryStats()
         self._product = None  # the last counterexample EQ's product (see _random_eq)
         self._product_target = None  # the SUL machine it was built against
+        self._accepted = None  # the InducedMoore the last system EQ accepted (see _eq)
         self.oracle_seconds = 0.0
         self.contract_violations = 0
 
@@ -227,7 +228,8 @@ class Sul:
 
         With ``exact`` set, the EQ is answered by :meth:`_exact`, the check
         validation runs: one EQ is charged, no words, and its time goes to
-        ``oracle_seconds`` like every oracle call's.
+        ``oracle_seconds`` like every oracle call's.  Either way, an
+        accepted ``InducedMoore`` is kept for :meth:`_exact` until the next EQ.
         """
         return self._eq(self._induced, hypothesis)
 
@@ -237,12 +239,16 @@ class Sul:
         return self._eq(self._mmn.machines[c], hypothesis)
 
     def _eq(self, target, hypothesis):
+        self._accepted = None
         if not self.eq_config.exact:
-            return self._random_eq(target, hypothesis)
-        t0 = time.perf_counter()
-        self.stats._eq()
-        result = self._exact(target, hypothesis)
-        self.oracle_seconds += time.perf_counter() - t0
+            result = self._random_eq(target, hypothesis)
+        else:
+            t0 = time.perf_counter()
+            self.stats._eq()
+            result = self._exact(target, hypothesis)
+            self.oracle_seconds += time.perf_counter() - t0
+        if result is EQUIVALENT and target is self._induced and isinstance(hypothesis, InducedMoore):
+            self._accepted = hypothesis
         return result
 
     def _random_eq(self, target, hypothesis):
@@ -352,18 +358,22 @@ class Sul:
 
     def validate_exact(self, learned) -> "Counterexample | bool":
         """Exact equivalence of the learned system (an ``Mmn``, its
-        ``InducedMoore`` or a ``DetMoore``) and the SUL's; not charged."""
+        ``InducedMoore`` or a ``DetMoore``) and the SUL's; not charged.  A
+        ``ccwl`` system is read off the memo its last EQ accepted."""
         return self._exact(self._induced, learned)
 
     def _exact(self, target, model) -> "Counterexample | bool":
         """Exact equivalence of ``model`` and ``target``, uncharged.  Against
         the SUL system, equal components on the SUL's network give equal
         systems, as tick by tick each reads the same input; else
-        ``equivalent`` finds the witness."""
+        ``equivalent`` finds the witness: on the memo the last EQ accepted,
+        if bound to this very ``Mmn`` (no ``rebind`` since), else afresh."""
         mmn = getattr(model, "mmn", model)  # an InducedMoore's MMN
         if target is self._induced and isinstance(mmn, Mmn) and mmn.network is self.network and all(
                 moves_agree(mmn.machines[c], self._mmn.machines[c]) for c in self.components):
             return EQUIVALENT
-        if isinstance(model, Mmn):
+        if target is self._induced and self._accepted is not None and self._accepted.mmn is mmn:
+            model = self._accepted
+        elif isinstance(model, Mmn):
             model = InducedMoore(model)
         return equivalent(model, target)

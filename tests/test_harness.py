@@ -391,6 +391,29 @@ def test_cli_bench_export_roundtrip(tmp_path, capsys):
     assert len(m.components) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["learn", "--bench", "binctr:5", "--algo", "ccwl", "--out"],
+    ["suite", "--preset", "ci", "--out"],
+    ["bench", "export", "binctr:5"],
+])
+def test_cli_unwritable_path_is_one_error_line_before_learning(monkeypatch, tmp_path,
+                                                                 capsys, argv):
+    def no_batch(*args, **kwargs):
+        raise AssertionError("learning ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_batch", no_batch)
+    assert cli_main(argv + [str(tmp_path / "missing" / "out.txt")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_config_error_keeps_an_existing_report(tmp_path, capsys):
+    out = tmp_path / "res.csv"
+    out.write_text("an earlier report")
+    assert cli_main(["learn", "--bench", "bogus:9", "--algo", "mnl", "--out", str(out)]) == 4
+    assert out.read_text() == "an earlier report"
+
+
 def test_cli_bad_spec_exit_4(capsys):
     assert cli_main(["bench", "export", "bogus:9", "x.mmn"]) == 4
 

@@ -716,6 +716,95 @@ def test_validate_exact_agrees_with_word_enumeration():
             assert len(res.word) <= len(found)  # BFS witness is shortest
 
 
+# -- validation on the memo that ccwl's last EQ accepted ---------------------------
+
+
+def fresh_rows(mmn):
+    """Per reachable configuration of ``mmn``'s system, off a fresh memo: its
+    output and its row as configurations (None for a fall-off)."""
+    ind, rows, q = InducedMoore(mmn), {}, 0
+    while q < ind.n_explored():  # a row interns its successors
+        rows[ind.configuration(q)] = (ind.output(q), tuple(
+            None if t is None else ind.configuration(t) for t in ind.row(q)))
+        q += 1
+    return rows
+
+
+# The incorrect ccwl models among the cases below, with their witness length.
+WITNESSES = {
+    ("rand:star3:lean:mean=5:seed=2", "eq,dmin"): 19,
+    ("rand:star3:lean:mean=5:seed=2", "eqk:0,d:0"): 19,
+    ("rand:compl3:rich:mean=5:seed=0", "eq,dmin"): 8,
+}
+
+
+@pytest.mark.parametrize("ca", ["eq,dinf", "eq,dmin", "eqk:0,d:0", "uni,d:0"])
+@pytest.mark.parametrize(
+    "spec", ["binctr:5", "mqtt", "rand:star3:lean:mean=5:seed=2",
+             "rand:compl3:rich:mean=5:seed=0"])
+def test_validation_memo_is_the_learned_system(spec, ca):
+    # Validation reads the memo that ccwl's last EQ accepted.  Every output
+    # and filled row it holds, also those filled before a rebind in the
+    # epoch, is the fresh system's, and the verdict and witness are those of
+    # the product on fresh machines.
+    sul = sul_for(from_spec(spec))
+    res = ccwl(sul, CaParams.parse(*ca.split(",")))
+    memo = sul._accepted
+    assert memo.mmn is res.mmn
+    verdict = sul.validate_exact(res.mmn)
+    assert verdict == equivalent(InducedMoore(res.mmn), sul_for(from_spec(spec))._induced)
+    assert (None if verdict is True else len(verdict.word)) == WITNESSES.get((spec, ca))
+    rows = fresh_rows(res.mmn)
+    for q in range(memo.n_explored()):
+        out, row = rows[memo.configuration(q)]
+        assert memo.output(q) == out
+        if memo._trans[q] is not None:
+            assert tuple(None if t is None else memo.configuration(t)
+                         for t in memo._trans[q]) == row
+
+
+def counted_memos(monkeypatch):
+    """The MMNs of the ``InducedMoore`` objects built from now on."""
+    built, init = [], InducedMoore.__init__
+
+    def counting_init(self, mmn):
+        built.append(mmn)
+        init(self, mmn)
+
+    monkeypatch.setattr(InducedMoore, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_validation_reuses_only_the_memo_the_last_eq_accepted(monkeypatch, exact):
+    sul = sul_for(from_spec("mqtt"), exact=exact)
+    res = ccwl(sul, CaParams.parse("eq", "dinf"))
+    machine = res.system_machine()
+    built = counted_memos(monkeypatch)
+    assert sul.validate_exact(res.mmn) is True
+    assert sul.validate_exact(machine) is True
+    assert built == []
+    # An equal MMN that is another object gets a memo of its own.
+    copy = Mmn(res.mmn.network, dict(res.mmn.machines), check=False)
+    assert sul.validate_exact(copy) is True and built == [copy]
+    # Any later EQ drops the memo; one it accepts keeps its own hypothesis.
+    c = sul.components[0]
+    assert sul.eq_c(c, sul._mmn.machines[c]) is True and sul._accepted is None
+    assert sul.validate_exact(res.mmn) is True and built[-1] is res.mmn
+    other = InducedMoore(sul._mmn)
+    assert sul.eq(other) is True and sul._accepted is other
+    assert sul.validate_exact(res.mmn) is True and built[-1] is res.mmn
+
+
+@pytest.mark.parametrize("algorithm", ["mnl", "cwl"])
+def test_mnl_and_cwl_keep_no_memo_for_validation(algorithm):
+    # Their EQs never see an InducedMoore hypothesis.
+    sul = sul_for(from_spec("mqtt"))
+    learned = learn(sul, algorithm, None)
+    assert sul._accepted is None
+    assert sul.validate_exact(learned) is True
+
+
 # -- the component check in front of the product ---------------------------------
 
 
